@@ -1,19 +1,36 @@
 package incgraph
 
 import (
+	"encoding/json"
+	"flag"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
-	"testing/quick"
 
 	"incgraph/internal/bc"
 	"incgraph/internal/cc"
 	"incgraph/internal/dfs"
+	"incgraph/internal/fixpoint"
 	"incgraph/internal/graph"
 	"incgraph/internal/lcc"
 	"incgraph/internal/sim"
 	"incgraph/internal/sssp"
 )
+
+var updateGoldens = flag.Bool("update", false, "rewrite testdata/flat_ledgers.golden.json")
+
+const ledgerGoldenPath = "testdata/flat_ledgers.golden.json"
+
+// ledgerGolden is one batch's Portable WorkLedgers for the SSSP and CC
+// maintainers of TestFlatDifferentialSixClass.
+type ledgerGolden struct {
+	Seed  int64               `json:"seed"`
+	Chunk int                 `json:"chunk"`
+	SSSP  fixpoint.WorkLedger `json:"sssp"`
+	CC    fixpoint.WorkLedger `json:"cc"`
+}
 
 // flatStream builds a random update stream over n nodes: a third
 // deletions, the rest weighted insertions (re-inserting an existing edge
@@ -35,127 +52,118 @@ func flatStream(rng *rand.Rand, n, length int) graph.Batch {
 	return b
 }
 
-// TestFlatDifferentialSixClass is the whole-fleet differential test of
-// the flat (CSR + overlay) execution core. For the three classes whose
-// adapters read the flat view (SSSP, CC, BC) it runs a flat-backed and a
-// legacy (WithoutFlat) maintainer side by side on the same random update
-// stream and requires the published results — and for the engine-backed
-// classes the Portable WorkLedgers, bit for bit — to agree after every
-// batch. (Portable zeroes Rounds: the flat view scans rows in CSR order
-// while the legacy path scans insertion order, and round boundaries are
-// schedule-dependent — the same reason the seq/par differential compares
-// Portable ledgers.) The
-// remaining classes (Sim, DFS, LCC), which this refactor moved onto
-// dense epoch-marked sets rather than the flat view itself, are checked
-// against from-scratch recomputation each batch. Seeds come from
-// testing/quick; run under -race this also exercises staging vs the
-// parallel drain.
+// TestFlatDifferentialSixClass is the whole-fleet oracle test of the
+// flat (CSR + overlay) execution core, on fixed seeds. After every batch
+// of a random update stream, each class's answer must equal a batch
+// recompute on the maintained graph: Dijkstra, union-find, the lowpoint
+// DFS, the canonical DFS tree, LCC and Simfp. The per-batch Portable
+// WorkLedgers of SSSP and CC must further match
+// testdata/flat_ledgers.golden.json bit for bit, which pins the amount
+// of incremental work, not just the answers. (Portable zeroes Rounds,
+// which depend on the scan order of the adjacency view.) Run with
+// -update to rewrite the goldens after a deliberate change to the work
+// the maintainers do.
 func TestFlatDifferentialSixClass(t *testing.T) {
 	const nodes, chunks, chunkLen = 160, 6, 40
-	prop := func(seed int64) bool {
+	var got []ledgerGolden
+	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		gd := PowerLawGraph(seed+1, nodes, 4, true)
 		gu := PowerLawGraph(seed+2, nodes, 4, false)
 		pattern := RandomPattern(seed+3, 4, 5, 3)
 
-		sFlat := sssp.NewInc(gd.Clone(), 0)
-		sLegacy := sssp.NewInc(gd.Clone(), 0, sssp.WithoutFlat())
-		cFlat := cc.NewInc(gu.Clone())
-		cLegacy := cc.NewInc(gu.Clone(), cc.WithoutFlat())
-		bFlat := bc.NewInc(gu.Clone())
-		bLegacy := bc.NewInc(gu.Clone(), bc.WithoutFlat())
+		sInc := sssp.NewInc(gd.Clone(), 0)
+		cInc := cc.NewInc(gu.Clone())
+		bInc := bc.NewInc(gu.Clone())
 		simEng := sim.NewIncEngine(gd.Clone(), pattern)
 		dfsInc := dfs.NewInc(gu.Clone())
-		dfsLegacy := dfs.NewInc(gu.Clone(), dfs.WithoutFlat())
 		lccInc := lcc.NewInc(gu.Clone())
 
-		// An aggressive threshold on one side forces several compactions
-		// mid-stream, so the differential covers overlay reads, compacted
-		// reads, and the transition between them.
-		sFlat.SetCompactThreshold(0.05)
-		cFlat.SetCompactThreshold(0.05)
-
-		if sLegacy.Flat() != nil || cLegacy.Flat() != nil || bLegacy.Flat() != nil {
-			t.Errorf("seed %d: WithoutFlat maintainer still built a flat view", seed)
-			return false
-		}
+		// An aggressive threshold on SSSP and CC forces several
+		// compactions mid-stream, so the test covers overlay reads,
+		// compacted reads, and the transition between them; BC and DFS
+		// keep the default threshold.
+		sInc.Flat().SetCompactThreshold(0.05)
+		cInc.Flat().SetCompactThreshold(0.05)
 
 		for i := 0; i < chunks; i++ {
 			dStream := flatStream(rng, nodes, chunkLen)
 			uStream := flatStream(rng, nodes, chunkLen)
 
-			sFlat.Stage(dStream)
-			sLegacy.Stage(dStream)
-			sFlat.Repair()
-			sLegacy.Repair()
-			if !reflect.DeepEqual(sFlat.Dist(), sLegacy.Dist()) {
-				t.Errorf("seed %d chunk %d: sssp flat vs legacy distances diverged", seed, i)
-				return false
-			}
-			if a, b := sFlat.Stats().Ledger.Portable(), sLegacy.Stats().Ledger.Portable(); a != b {
-				t.Errorf("seed %d chunk %d: sssp ledgers diverged:\nflat   %+v\nlegacy %+v", seed, i, a, b)
-				return false
+			sInc.Apply(dStream)
+			if !reflect.DeepEqual(sInc.Dist(), sssp.Dijkstra(sInc.Graph(), 0)) {
+				t.Fatalf("seed %d chunk %d: sssp distances diverged from Dijkstra", seed, i)
 			}
 
-			cFlat.Stage(uStream)
-			cLegacy.Stage(uStream)
-			cFlat.Repair()
-			cLegacy.Repair()
-			if !reflect.DeepEqual(cFlat.Labels(), cLegacy.Labels()) {
-				t.Errorf("seed %d chunk %d: cc flat vs legacy labels diverged", seed, i)
-				return false
+			cInc.Apply(uStream)
+			if !reflect.DeepEqual(cInc.Labels(), cc.UnionFind(cInc.Graph())) {
+				t.Fatalf("seed %d chunk %d: cc labels diverged from union-find", seed, i)
 			}
-			if a, b := cFlat.Stats().Ledger.Portable(), cLegacy.Stats().Ledger.Portable(); a != b {
-				t.Errorf("seed %d chunk %d: cc ledgers diverged:\nflat   %+v\nlegacy %+v", seed, i, a, b)
-				return false
-			}
+			got = append(got, ledgerGolden{
+				Seed: seed, Chunk: i,
+				SSSP: sInc.Stats().Ledger.Portable(),
+				CC:   cInc.Stats().Ledger.Portable(),
+			})
 
-			bFlat.Stage(uStream)
-			bLegacy.Stage(uStream)
-			bFlat.Repair()
-			bLegacy.Repair()
-			if !bFlat.Result().Equivalent(bLegacy.Result()) {
-				t.Errorf("seed %d chunk %d: bc flat vs legacy results diverged", seed, i)
-				return false
+			bInc.Apply(uStream)
+			if !bInc.Result().Equivalent(bc.Run(bInc.Graph())) {
+				t.Fatalf("seed %d chunk %d: bc result diverged from recompute", seed, i)
 			}
 
 			simEng.Apply(dStream)
 			if ref := sim.Simfp(simEng.Graph(), pattern); !simEng.Relation().Equal(ref) {
-				t.Errorf("seed %d chunk %d: sim relation diverged from recompute", seed, i)
-				return false
+				t.Fatalf("seed %d chunk %d: sim relation diverged from recompute", seed, i)
 			}
 
-			dfsInc.Stage(uStream)
-			dfsLegacy.Stage(uStream)
-			dfsInc.Repair()
-			dfsLegacy.Repair()
+			dfsInc.Apply(uStream)
 			if !dfsInc.Tree().IsValid(dfsInc.Graph()) {
-				t.Errorf("seed %d chunk %d: dfs tree invalid after repair", seed, i)
-				return false
+				t.Fatalf("seed %d chunk %d: dfs tree invalid after repair", seed, i)
 			}
-			// The canonical traversal is a unique function of the graph, so
-			// flat and legacy neighbor enumeration must build the SAME tree.
-			if !dfsInc.Tree().Equal(dfsLegacy.Tree()) {
-				t.Errorf("seed %d chunk %d: dfs flat vs legacy trees diverged", seed, i)
-				return false
+			// The canonical traversal is a unique function of the graph,
+			// so the repaired tree must be the one a batch run builds.
+			if !dfsInc.Tree().Equal(dfs.Run(dfsInc.Graph())) {
+				t.Fatalf("seed %d chunk %d: dfs tree diverged from canonical recompute", seed, i)
 			}
 
-			lccInc.Stage(uStream)
-			lccInc.Repair()
+			lccInc.Apply(uStream)
 			if ref := lcc.Run(lccInc.Graph()); !lccInc.Result().Equal(ref) {
-				t.Errorf("seed %d chunk %d: lcc result diverged from recompute", seed, i)
-				return false
+				t.Fatalf("seed %d chunk %d: lcc result diverged from recompute", seed, i)
 			}
 		}
-		// The aggressive threshold must actually have compacted; the
-		// default-threshold BC view must still be live.
-		if sFlat.Flat().Compactions() == 0 {
-			t.Errorf("seed %d: sssp flat view never compacted at threshold 0.05", seed)
-			return false
+		// The aggressive threshold must actually have compacted.
+		if sInc.Flat().Compactions() == 0 {
+			t.Fatalf("seed %d: sssp flat view never compacted at threshold 0.05", seed)
 		}
-		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 3}); err != nil {
+
+	if *updateGoldens {
+		buf, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(ledgerGoldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(ledgerGoldenPath, append(buf, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(ledgerGoldenPath)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	var want []ledgerGolden
+	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d ledger entries, golden has %d", len(got), len(want))
+	}
+	for k := range got {
+		if got[k] != want[k] {
+			t.Errorf("seed %d chunk %d: ledgers differ from golden:\ngot  %+v\nwant %+v",
+				got[k].Seed, got[k].Chunk, got[k], want[k])
+		}
 	}
 }

@@ -55,7 +55,7 @@ func ExpAblation(cfg Config) {
 	// (3) Push vs pull step function, batch CC_fp over the whole graph.
 	{
 		g := buildUndirected(d, cfg.Seed, cfg.Scale)
-		inst := &cc.Instance{G: g}
+		inst := cc.NewInstance(g)
 		push := stopwatch(func() {
 			e := fixpoint.New[int64](inst, fixpoint.PriorityOrder)
 			e.Run()

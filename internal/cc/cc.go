@@ -91,14 +91,16 @@ func UnionFind(g *graph.Graph) []int64 {
 // variable per node holding a component id, f_xv = min({id_v} ∪ Y_xv) over
 // the neighbors. It is contracting and monotonic under the order on ids.
 //
-// When Flat is set, all adjacency reads go through the flat CSR+overlay
-// view instead of G's pointer-rich lists, and the engine's row-based drain
-// (fixpoint.UniformRelaxer) becomes available. The incremental maintainer
-// keeps Flat in sync with G; leave it nil for a plain map-backed instance.
+// All adjacency reads go through Flat, the CSR+overlay view of G, which
+// also makes the engine's row-based drain (fixpoint.UniformRelaxer)
+// available. Whoever mutates G stages the same updates into Flat.
 type Instance struct {
 	G    *graph.Graph
 	Flat *graph.Flat
 }
+
+// NewInstance builds an instance over g with a fresh flat view.
+func NewInstance(g *graph.Graph) *Instance { return &Instance{G: g, Flat: graph.NewFlat(g)} }
 
 // NumVars returns one variable per node.
 func (c *Instance) NumVars() int { return c.G.NumNodes() }
@@ -114,20 +116,9 @@ func (c *Instance) Equal(a, b int64) bool { return a == b }
 
 func (c *Instance) neighbors(x fixpoint.Var, yield func(fixpoint.Var)) {
 	v := graph.NodeID(x)
-	if c.Flat != nil {
-		c.Flat.EachOut(v, func(u graph.NodeID, _ int64) { yield(fixpoint.Var(u)) })
-		if c.G.Directed() {
-			c.Flat.EachIn(v, func(u graph.NodeID, _ int64) { yield(fixpoint.Var(u)) })
-		}
-		return
-	}
-	for _, e := range c.G.Out(v) {
-		yield(fixpoint.Var(e.To))
-	}
+	c.Flat.EachOut(v, func(u graph.NodeID, _ int64) { yield(fixpoint.Var(u)) })
 	if c.G.Directed() {
-		for _, e := range c.G.In(v) {
-			yield(fixpoint.Var(e.To))
-		}
+		c.Flat.EachIn(v, func(u graph.NodeID, _ int64) { yield(fixpoint.Var(u)) })
 	}
 }
 
@@ -138,23 +129,14 @@ func (c *Instance) Inputs(x fixpoint.Var, yield func(fixpoint.Var)) { c.neighbor
 func (c *Instance) Dependents(x fixpoint.Var, yield func(fixpoint.Var)) { c.neighbors(x, yield) }
 
 // Update evaluates f_x: the minimum of the node's id and neighbor labels.
-// On the flat path the meet over the dependent row is branch-free
-// (fixpoint.MinInt64); labels are node ids, far from the overflow bound.
+// The meet over the dependent row is branch-free (fixpoint.MinInt64);
+// labels are node ids, far from the overflow bound.
 func (c *Instance) Update(x fixpoint.Var, get func(fixpoint.Var) int64) int64 {
-	best := int64(x)
-	if c.Flat != nil {
-		v := graph.NodeID(x)
-		best = c.flatMeet(v, best, get, false)
-		if c.G.Directed() {
-			best = c.flatMeet(v, best, get, true)
-		}
-		return best
+	v := graph.NodeID(x)
+	best := c.flatMeet(v, int64(x), get, false)
+	if c.G.Directed() {
+		best = c.flatMeet(v, best, get, true)
 	}
-	c.neighbors(x, func(y fixpoint.Var) {
-		if v := get(y); v < best {
-			best = v
-		}
-	})
 	return best
 }
 
@@ -202,20 +184,9 @@ func (c *Instance) RelaxOut(x fixpoint.Var, xv int64, emit func(fixpoint.Var, in
 // min-label propagation emits the same candidate everywhere, so the
 // engine's sequential drain installs it along this row with no per-edge
 // closure. The row visits exactly what RelaxOut emits to, in the same
-// order, on both the flat and the legacy path.
+// order.
 func (c *Instance) DependentRow(x fixpoint.Var, buf []fixpoint.Var) []fixpoint.Var {
 	v := graph.NodeID(x)
-	if c.Flat == nil {
-		for _, e := range c.G.Out(v) {
-			buf = append(buf, fixpoint.Var(e.To))
-		}
-		if c.G.Directed() {
-			for _, e := range c.G.In(v) {
-				buf = append(buf, fixpoint.Var(e.To))
-			}
-		}
-		return buf
-	}
 	ts, ws, dead, extra := c.Flat.OutSpans(v)
 	buf = appendRow(buf, ts, ws, dead, extra)
 	if c.G.Directed() {
@@ -258,7 +229,7 @@ func (c *Instance) OutDegree(x fixpoint.Var) int64 {
 
 // CCfp runs the batch fixpoint algorithm and returns the labels.
 func CCfp(g *graph.Graph) []int64 {
-	eng := fixpoint.New[int64](&Instance{G: g}, fixpoint.PriorityOrder)
+	eng := fixpoint.New[int64](NewInstance(g), fixpoint.PriorityOrder)
 	eng.Run()
 	return eng.State().Val
 }
@@ -275,37 +246,18 @@ func CCfp(g *graph.Graph) []int64 {
 // loop and publishes immutable snapshots to readers.
 type Inc struct {
 	g       *graph.Graph
-	flat    *graph.Flat // nil when built WithoutFlat
+	flat    *graph.Flat
 	eng     *fixpoint.Engine[int64]
 	arena   fixpoint.ScopeArena
 	pending graph.Batch
 }
 
-// Option configures an incremental maintainer.
-type Option func(*incOpts)
-
-type incOpts struct{ noFlat bool }
-
-// WithoutFlat disables the flat CSR+overlay adjacency view, keeping the
-// legacy map-backed hot path. Used by differential tests that pin the two
-// engines against each other; production maintainers should not need it.
-func WithoutFlat() Option { return func(o *incOpts) { o.noFlat = true } }
-
 // NewInc computes the initial fixpoint and returns the algorithm.
-func NewInc(g *graph.Graph, opts ...Option) *Inc {
-	var o incOpts
-	for _, f := range opts {
-		f(&o)
-	}
-	inst := &Instance{G: g}
-	var fl *graph.Flat
-	if !o.noFlat {
-		fl = graph.NewFlat(g)
-		inst.Flat = fl
-	}
+func NewInc(g *graph.Graph) *Inc {
+	inst := NewInstance(g)
 	eng := fixpoint.New[int64](inst, fixpoint.PriorityOrder)
 	eng.Run()
-	return &Inc{g: g, flat: fl, eng: eng}
+	return &Inc{g: g, flat: inst.Flat, eng: eng}
 }
 
 // Graph returns the maintained graph.
@@ -375,23 +327,12 @@ func (i *Inc) Stage(b graph.Batch) {
 	applied := i.g.Apply(b.Net(i.g.Directed()))
 	i.pending = append(i.pending, applied...)
 	i.eng.Grow()
-	if i.flat != nil {
-		i.flat.Stage(i.g, applied)
-		i.flat.MaybeCompact(i.g)
-	}
+	i.flat.Stage(i.g, applied)
+	i.flat.MaybeCompact(i.g)
 }
 
-// SetCompactThreshold sets the flat view's overlay-to-base compaction
-// ratio (see graph.Flat.SetCompactThreshold). No-op when the maintainer
-// was built WithoutFlat. Single-writer contract: call between Applies.
-func (i *Inc) SetCompactThreshold(t float64) {
-	if i.flat != nil {
-		i.flat.SetCompactThreshold(t)
-	}
-}
-
-// Flat returns the maintainer's flat adjacency view (nil WithoutFlat),
-// for observability of overlay size and compaction counts.
+// Flat returns the maintainer's flat adjacency view, for observability
+// of overlay size and compaction counts.
 func (i *Inc) Flat() *graph.Flat { return i.flat }
 
 // Repair runs the incremental algorithm over the staged updates.
@@ -424,15 +365,17 @@ func (i *Inc) Repair() int {
 // deletion inside a large component recomputes the whole component — it
 // serves as the ablation quantifying what timestamps buy.
 type IncNaive struct {
-	g   *graph.Graph
-	eng *fixpoint.Engine[int64]
+	g    *graph.Graph
+	inst *Instance
+	eng  *fixpoint.Engine[int64]
 }
 
 // NewIncNaive computes the initial fixpoint and returns the algorithm.
 func NewIncNaive(g *graph.Graph) *IncNaive {
-	eng := fixpoint.New[int64](&Instance{G: g}, fixpoint.PriorityOrder)
+	inst := NewInstance(g)
+	eng := fixpoint.New[int64](inst, fixpoint.PriorityOrder)
 	eng.Run()
-	return &IncNaive{g: g, eng: eng}
+	return &IncNaive{g: g, inst: inst, eng: eng}
 }
 
 // Graph returns the maintained graph.
@@ -446,8 +389,9 @@ func (i *IncNaive) Labels() []int64 { return i.eng.State().Val }
 func (i *IncNaive) Apply(b graph.Batch) int {
 	applied := i.g.Apply(b.Net(i.g.Directed()))
 	i.eng.Grow()
+	i.inst.Flat.Stage(i.g, applied)
+	i.inst.Flat.MaybeCompact(i.g)
 	st := i.eng.State()
-	inst := &Instance{G: i.g}
 	pe := make(map[fixpoint.Var]bool, 2*len(applied))
 	var queue []fixpoint.Var
 	add := func(x fixpoint.Var) {
@@ -464,11 +408,11 @@ func (i *IncNaive) Apply(b graph.Batch) int {
 	for len(queue) > 0 {
 		x := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		inst.Dependents(x, add)
+		i.inst.Dependents(x, add)
 	}
 	scope := make([]fixpoint.Var, 0, len(pe))
 	for x := range pe {
-		st.Val[x] = inst.Bottom(x)
+		st.Val[x] = i.inst.Bottom(x)
 		scope = append(scope, x)
 	}
 	i.eng.ResumeFrom(scope)

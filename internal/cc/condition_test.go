@@ -14,7 +14,7 @@ func TestConditionC2(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.ErdosRenyi(rng, 60, 100, seed%2 == 0)
-		inst := &Instance{G: g}
+		inst := NewInstance(g)
 		if !fixpoint.CheckContracting[int64](inst) {
 			t.Fatalf("seed %d: not contracting", seed)
 		}

@@ -103,10 +103,7 @@ func Run(g *graph.Graph) *Tree {
 	for i := range t.Parent {
 		t.Parent[i] = -1
 	}
-	nb := func(v graph.NodeID, buf []graph.NodeID) []graph.NodeID {
-		return appendSortedNbrs(g, v, buf)
-	}
-	replayFrom(g, nb, t, 1)
+	replayFrom(g, g.AppendOutSorted, t, 1)
 	return t
 }
 
@@ -121,29 +118,10 @@ type frame struct {
 
 // nbrFunc appends v's neighbor ids to buf in ascending order and returns
 // the extended slice — the canonical enumeration order of §5.2. The two
-// implementations are appendSortedNbrs (legacy adjacency) and
-// graph.Flat.AppendOutSorted (CSR base + overlay tail).
+// implementations are graph.Graph.AppendOutSorted (adjacency lists, for
+// the batch run) and graph.Flat.AppendOutSorted (CSR base + overlay
+// tail, for the incremental one).
 type nbrFunc func(v graph.NodeID, buf []graph.NodeID) []graph.NodeID
-
-// appendSortedNbrs is the nbrFunc over the graph's adjacency lists. The
-// appended region is insertion-sorted for short rows and sort-sorted for
-// hubs, so a power-law row never degrades quadratically.
-func appendSortedNbrs(g *graph.Graph, v graph.NodeID, buf []graph.NodeID) []graph.NodeID {
-	base := len(buf)
-	for _, e := range g.Out(v) {
-		buf = append(buf, e.To)
-	}
-	if region := buf[base:]; len(region) > 32 {
-		sort.Slice(region, func(i, j int) bool { return region[i] < region[j] })
-		return buf
-	}
-	for i := base + 1; i < len(buf); i++ {
-		for j := i; j > base && buf[j] < buf[j-1]; j-- {
-			buf[j], buf[j-1] = buf[j-1], buf[j]
-		}
-	}
-	return buf
-}
 
 // replayFrom discards every event at time >= tstar and re-runs the
 // traversal from the stack state at tstar, reading neighbors through nb.
@@ -241,46 +219,15 @@ type Inc struct {
 	pending graph.Batch
 }
 
-// incOpts collects construction options.
-type incOpts struct{ noFlat bool }
-
-// Option configures NewInc.
-type Option func(*incOpts)
-
-// WithoutFlat disables the flat CSR/overlay adjacency view, forcing the
-// legacy per-row sort path. Used by differential tests; production
-// callers should keep the default.
-func WithoutFlat() Option { return func(o *incOpts) { o.noFlat = true } }
-
 // NewInc runs the batch DFS and returns the incremental algorithm.
-func NewInc(g *graph.Graph, opts ...Option) *Inc {
-	var o incOpts
-	for _, fn := range opts {
-		fn(&o)
-	}
-	i := &Inc{g: g, tree: Run(g)}
-	if !o.noFlat {
-		i.flat = graph.NewFlat(g)
-		i.nb = i.flat.AppendOutSorted
-	} else {
-		i.nb = func(v graph.NodeID, buf []graph.NodeID) []graph.NodeID {
-			return appendSortedNbrs(g, v, buf)
-		}
-	}
+func NewInc(g *graph.Graph) *Inc {
+	i := &Inc{g: g, flat: graph.NewFlat(g), tree: Run(g)}
+	i.nb = i.flat.AppendOutSorted
 	return i
 }
 
-// Flat returns the maintained flat adjacency view (nil under
-// WithoutFlat).
+// Flat returns the maintained flat adjacency view.
 func (i *Inc) Flat() *graph.Flat { return i.flat }
-
-// SetCompactThreshold forwards the overlay-compaction threshold to the
-// flat view (no-op under WithoutFlat). See graph.Flat.SetCompactThreshold.
-func (i *Inc) SetCompactThreshold(t float64) {
-	if i.flat != nil {
-		i.flat.SetCompactThreshold(t)
-	}
-}
 
 // Graph returns the maintained graph.
 func (i *Inc) Graph() *graph.Graph { return i.g }
@@ -320,10 +267,8 @@ func (i *Inc) Apply(b graph.Batch) int {
 func (i *Inc) Stage(b graph.Batch) {
 	applied := i.g.Apply(b.Net(i.g.Directed()))
 	i.pending = append(i.pending, applied...)
-	if i.flat != nil {
-		i.flat.Stage(i.g, applied)
-		i.flat.MaybeCompact(i.g)
-	}
+	i.flat.Stage(i.g, applied)
+	i.flat.MaybeCompact(i.g)
 }
 
 // Repair replays the traversal suffix for the staged updates.

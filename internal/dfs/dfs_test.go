@@ -21,7 +21,7 @@ func recursiveRef(g *graph.Graph) *Tree {
 	visit = func(v graph.NodeID) {
 		clock++
 		t.First[v] = clock
-		for _, w := range appendSortedNbrs(g, v, nil) {
+		for _, w := range g.AppendOutSorted(v, nil) {
 			if t.First[w] == 0 {
 				t.Parent[w] = v
 				visit(w)

@@ -95,10 +95,7 @@ func (d *DynDFS) replayChecked(up graph.Update) int {
 	if !d.g.Directed() {
 		consider(up.To)
 	}
-	nb := func(v graph.NodeID, buf []graph.NodeID) []graph.NodeID {
-		return appendSortedNbrs(d.g, v, buf)
-	}
-	affected := replayFrom(d.g, nb, d.tree, tstar)
+	affected := replayFrom(d.g, d.g.AppendOutSorted, d.tree, tstar)
 	if !d.valid() {
 		d.tree = Run(d.g)
 		return d.g.NumNodes()

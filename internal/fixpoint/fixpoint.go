@@ -20,6 +20,8 @@ package fixpoint
 import (
 	"fmt"
 	"time"
+
+	"incgraph/internal/pq"
 )
 
 // Var identifies a status variable in Ψ_A. Instances map graph nodes
@@ -229,30 +231,26 @@ type Engine[V any] struct {
 	tracer    Tracer         // optional span hook; nil ⇒ untraced path, zero cost
 	parTracer ParRoundTracer // tracer's optional parallel extension, captured at SetTracer
 
-	wl      worklist     // step-function scope
-	hq      *indexedHeap // h's queue, ordered by old timestamps
-	inScope []int64      // epoch marks for H⁰ and AFF membership
-	chMark  []int64      // epoch marks: written this run (ledger)
-	chOld   []V          // run-start values of written variables (ledger)
-	chList  []Var        // written variables, swept by ledgerSettle
+	wl      worklist      // step-function scope
+	hq      *pq.Heap[Var] // h's queue, ordered by old timestamps
+	inScope []int64       // epoch marks for H⁰ and AFF membership
+	chMark  []int64       // epoch marks: written this run (ledger)
+	chOld   []V           // run-start values of written variables (ledger)
+	chList  []Var         // written variables, swept by ledgerSettle
 	epoch   int64
 	deg     OutDegreer // instance's optional out-degree hook for ‖AFF‖
 
-	// Parallel execution mode (see parallel.go). All fields stay nil/zero
+	// Parallel execution mode (see parallel.go). The buffers stay nil
 	// for sequential engines, so the n<=1 path allocates nothing extra.
-	workers      int            // >= 2 ⇒ partitioned round drains
-	parThreshold int            // minimum frontier size to partition
-	pool         *Pool          // reusable workers, spawned lazily
-	parWs        []parWorker[V] // per-worker buffers, reused across rounds
-	parts        []span         // current round's frontier partition
-	frontier     []Var          // round frontier snapshot, reused
-	recomp       []Var          // pull mode: deduped dependents, reused
-	parSeen      []int64        // pull mode: epoch marks for dedup
-	parEpoch     int64
-	parRelaxFn   func(int) // hoisted phase closures (no per-round allocs)
-	parDepFn     func(int)
-	parEvalFn    func(int)
-	par          ParStats
+	par        RoundDriver    // worker count, pool, partition, ParStats
+	parWs      []parWorker[V] // per-worker buffers, reused across rounds
+	frontier   []Var          // round frontier snapshot, reused
+	recomp     []Var          // pull mode: deduped dependents, reused
+	parSeen    []int64        // pull mode: epoch marks for dedup
+	parEpoch   int64
+	parRelaxFn func(int) int64 // hoisted chunk functions (no per-round allocs)
+	parDepFn   func(int) int64
+	parEvalFn  func(int) int64
 }
 
 // New creates an engine for the instance with an empty (all-Bottom) state.
@@ -271,7 +269,8 @@ func New[V any](inst Instance[V], policy Policy, opts ...Option) *Engine[V] {
 	for i := 0; i < n; i++ {
 		st.Val[i] = inst.Bottom(Var(i))
 	}
-	e := &Engine[V]{inst: inst, policy: policy, st: st, parThreshold: cfg.parThreshold}
+	e := &Engine[V]{inst: inst, policy: policy, st: st}
+	e.par.threshold = cfg.parThreshold
 	e.relaxer, _ = inst.(Relaxer[V])
 	e.uniform, _ = inst.(UniformRelaxer[V])
 	e.deg, _ = inst.(OutDegreer)
@@ -280,13 +279,13 @@ func New[V any](inst Instance[V], policy Policy, opts ...Option) *Engine[V] {
 		return e.st.Val[x]
 	}
 	if policy == PriorityOrder {
-		e.wl = newIndexedHeap(n, func(a, b Var) bool {
+		e.wl = pq.New(n, func(a, b Var) bool {
 			return e.inst.Less(e.st.Val[a], e.st.Val[b])
 		})
 	} else {
 		e.wl = newFifo(n)
 	}
-	e.hq = newIndexedHeap(n, func(a, b Var) bool {
+	e.hq = pq.New(n, func(a, b Var) bool {
 		return e.st.TS[a] < e.st.TS[b]
 	})
 	e.inScope = make([]int64, n)

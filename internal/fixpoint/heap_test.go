@@ -4,11 +4,13 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"incgraph/internal/pq"
 )
 
 func TestIndexedHeapOrdering(t *testing.T) {
 	keys := []int64{5, 3, 8, 1, 9, 2, 7}
-	h := newIndexedHeap(len(keys), func(a, b Var) bool { return keys[a] < keys[b] })
+	h := pq.New(len(keys), func(a, b Var) bool { return keys[a] < keys[b] })
 	for i := range keys {
 		h.AddOrAdjust(Var(i))
 	}
@@ -30,7 +32,7 @@ func TestIndexedHeapOrdering(t *testing.T) {
 
 func TestIndexedHeapAdjust(t *testing.T) {
 	keys := []int64{10, 20, 30}
-	h := newIndexedHeap(3, func(a, b Var) bool { return keys[a] < keys[b] })
+	h := pq.New(3, func(a, b Var) bool { return keys[a] < keys[b] })
 	for i := range keys {
 		h.AddOrAdjust(Var(i))
 	}
@@ -51,7 +53,7 @@ func TestIndexedHeapAdjust(t *testing.T) {
 
 func TestIndexedHeapDuplicatesIgnored(t *testing.T) {
 	keys := []int64{4, 2}
-	h := newIndexedHeap(2, func(a, b Var) bool { return keys[a] < keys[b] })
+	h := pq.New(2, func(a, b Var) bool { return keys[a] < keys[b] })
 	h.AddOrAdjust(0)
 	h.AddOrAdjust(0)
 	h.AddOrAdjust(1)
@@ -64,7 +66,7 @@ func TestIndexedHeapRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const n = 200
 	keys := make([]int64, n)
-	h := newIndexedHeap(n, func(a, b Var) bool { return keys[a] < keys[b] })
+	h := pq.New(n, func(a, b Var) bool { return keys[a] < keys[b] })
 	live := map[Var]bool{}
 	for op := 0; op < 5000; op++ {
 		x := Var(rng.Intn(n))

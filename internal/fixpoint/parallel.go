@@ -1,7 +1,5 @@
 package fixpoint
 
-import "time"
-
 // This file implements the engine's parallel execution mode: a round-level
 // work-sharing scheme over the worklist drain. Each BFS round's frontier is
 // partitioned into contiguous chunks across a reusable worker Pool; workers
@@ -19,13 +17,6 @@ import "time"
 // The initial scope function h stays sequential: it is ordered by the
 // previous run's timestamps and is bounded by |ΔG|-sized anchor sets, so
 // there is no round structure to share.
-
-// defaultParThreshold is the frontier size below which a parallel engine
-// processes a round inline on the driver goroutine: partitioning a
-// handful of variables costs more in handoff than it saves. Chosen so
-// that per-round pool dispatch (~a few µs) is amortized over at least a
-// few hundred relaxations.
-const defaultParThreshold = 64
 
 // Option configures an Engine at construction. Options are shared across
 // value domains (they carry no V), so New(inst, policy, WithWorkers(4))
@@ -169,17 +160,11 @@ type parWorker[V any] struct {
 	cands []parCand[V] // candidate values computed this round
 	deps  []Var        // pull mode: dependents discovered this round
 	reads int64        // pull mode: status reads by Update
-	work  int64        // work units this round (imbalance proxy)
-	busy  int64        // accumulated compute nanos this round
 
 	emit func(Var, V) // push mode RelaxOut sink (hoisted, no per-round closures)
 	dep  func(Var)    // pull mode Dependents sink
 	get  func(Var) V  // pull mode Update reader
 }
-
-// span is a half-open partition [lo, hi) of the round's frontier or
-// recompute list.
-type span struct{ lo, hi int }
 
 // SetWorkers sets the worker count for subsequent runs: n >= 2 partitions
 // every round whose frontier reaches the threshold across n workers;
@@ -187,99 +172,76 @@ type span struct{ lo, hi int }
 // goroutines). Part of the engine's single-writer contract: call it only
 // from the goroutine that drives the engine, never during a run.
 func (e *Engine[V]) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n == e.workers || (n <= 1 && e.workers <= 1) {
+	if !e.par.SetWorkers(n) {
 		return
 	}
-	e.workers = n
-	e.par.Workers = n
-	if e.pool != nil {
-		e.pool.Close()
-		e.pool = nil
-	}
+	n = e.par.Workers()
 	if n <= 1 {
 		e.parWs = nil
-		e.parts = nil
 		return
 	}
 	e.parWs = make([]parWorker[V], n)
-	e.parts = make([]span, n)
 	for w := range e.parWs {
 		pw := &e.parWs[w]
-		pw.emit = func(z Var, cand V) {
-			pw.cands = append(pw.cands, parCand[V]{z, cand})
-			pw.work++
-		}
-		pw.dep = func(z Var) {
-			pw.deps = append(pw.deps, z)
-			pw.work++
-		}
+		pw.emit = func(z Var, cand V) { pw.cands = append(pw.cands, parCand[V]{z, cand}) }
+		pw.dep = func(z Var) { pw.deps = append(pw.deps, z) }
 		pw.get = func(y Var) V {
 			pw.reads++
 			return e.st.Val[y]
 		}
 	}
 	if e.parRelaxFn == nil {
-		e.parRelaxFn = func(w int) {
-			t0 := time.Now()
+		// Each chunk function returns its work units: the candidates or
+		// dependents it buffered.
+		e.parRelaxFn = func(w int) int64 {
 			pw := &e.parWs[w]
-			for _, x := range e.frontier[e.parts[w].lo:e.parts[w].hi] {
+			n0 := len(pw.cands)
+			lo, hi := e.par.Span(w)
+			for _, x := range e.frontier[lo:hi] {
 				e.relaxer.RelaxOut(x, e.st.Val[x], pw.emit)
 			}
-			pw.busy += time.Since(t0).Nanoseconds()
+			return int64(len(pw.cands) - n0)
 		}
-		e.parDepFn = func(w int) {
-			t0 := time.Now()
+		e.parDepFn = func(w int) int64 {
 			pw := &e.parWs[w]
-			for _, x := range e.frontier[e.parts[w].lo:e.parts[w].hi] {
+			n0 := len(pw.deps)
+			lo, hi := e.par.Span(w)
+			for _, x := range e.frontier[lo:hi] {
 				e.inst.Dependents(x, pw.dep)
 			}
-			pw.busy += time.Since(t0).Nanoseconds()
+			return int64(len(pw.deps) - n0)
 		}
-		e.parEvalFn = func(w int) {
-			t0 := time.Now()
+		e.parEvalFn = func(w int) int64 {
 			pw := &e.parWs[w]
-			for _, z := range e.recomp[e.parts[w].lo:e.parts[w].hi] {
+			lo, hi := e.par.Span(w)
+			for _, z := range e.recomp[lo:hi] {
 				pw.cands = append(pw.cands, parCand[V]{z, e.inst.Update(z, pw.get)})
-				pw.work++
 			}
-			pw.busy += time.Since(t0).Nanoseconds()
+			return int64(hi - lo)
 		}
 	}
 }
 
 // Workers returns the configured worker count (1 = sequential).
-func (e *Engine[V]) Workers() int {
-	if e.workers < 1 {
-		return 1
-	}
-	return e.workers
-}
+func (e *Engine[V]) Workers() int { return e.par.Workers() }
 
 // ParStats returns the cumulative parallel-drain counters. Zero-valued
 // while the engine runs sequentially.
-func (e *Engine[V]) ParStats() ParStats { return e.par }
+func (e *Engine[V]) ParStats() ParStats { return e.par.ParStats() }
 
 // Close releases the engine's worker pool, if any. A sequential engine
 // holds no resources and Close is a no-op; a parallel engine parks
 // n-1 goroutines between runs, and Close unparks and ends them. The
 // engine remains usable afterwards — the pool is respawned lazily on the
 // next parallel round.
-func (e *Engine[V]) Close() {
-	if e.pool != nil {
-		e.pool.Close()
-		e.pool = nil
-	}
-}
+func (e *Engine[V]) Close() { e.par.Close() }
 
 // dispatchDrain routes a drain to the configured path: partitioned rounds
 // when workers are set, traced rounds when only a tracer is, and the
 // tight sequential loop otherwise. The sequential cases stay free of any
 // parallel bookkeeping, preserving the zero-allocation guarantee.
 func (e *Engine[V]) dispatchDrain() {
-	if e.workers > 1 {
+	if e.par.Workers() > 1 {
 		e.drainPar()
 	} else if e.tracer != nil {
 		e.drainRounds()
@@ -300,8 +262,7 @@ func (e *Engine[V]) drainPar() {
 		round++
 		e.st.Stats.Ledger.Rounds++
 		pops0, changes0 := e.st.Stats.Pops, e.st.Stats.Changes
-		if frontier < e.parThreshold {
-			e.par.SeqRounds++
+		if e.par.InlineRound(frontier) {
 			for n := 0; n < frontier; n++ {
 				x, ok := e.wl.Pop()
 				if !ok {
@@ -325,7 +286,7 @@ func (e *Engine[V]) drainPar() {
 			e.tracer.Round(round, int64(frontier),
 				e.st.Stats.Pops-pops0, e.st.Stats.Changes-changes0, int64(e.wl.Len()))
 			if e.parTracer != nil {
-				e.parTracer.ParRound(round, e.workers, int64(frontier), cands, busiest, wall)
+				e.parTracer.ParRound(round, e.par.Workers(), int64(frontier), cands, busiest, wall)
 			}
 		}
 	}
@@ -334,9 +295,6 @@ func (e *Engine[V]) drainPar() {
 // parRound processes one partitioned round and returns its candidate
 // count, busiest worker nanos, and wall nanos for the tracer.
 func (e *Engine[V]) parRound() (cands, busiest, wall int64) {
-	if e.pool == nil {
-		e.pool = NewPool(e.workers)
-	}
 	// Snapshot the frontier in worklist order — the deterministic basis
 	// for partitioning and for the merge order below.
 	e.frontier = e.frontier[:0]
@@ -349,13 +307,11 @@ func (e *Engine[V]) parRound() (cands, busiest, wall int64) {
 	}
 	e.st.Stats.Pops += int64(len(e.frontier))
 
-	wall0 := time.Now()
-	k := e.partition(len(e.frontier))
+	k := e.par.Partition(len(e.frontier))
 	if e.relaxer != nil {
 		// Push mode: workers relax their chunk's out-edges into candidate
 		// buffers; no shared state is written until the merge.
-		e.pool.Run(k, e.parRelaxFn)
-		wall = time.Since(wall0).Nanoseconds()
+		e.par.Run(k, e.parRelaxFn)
 		for w := 0; w < k; w++ {
 			pw := &e.parWs[w]
 			for _, c := range pw.cands {
@@ -365,107 +321,48 @@ func (e *Engine[V]) parRound() (cands, busiest, wall int64) {
 			}
 			pw.cands = pw.cands[:0]
 		}
-	} else {
-		// Pull mode, two sub-phases. Phase 1: workers discover the
-		// frontier's dependents; the driver dedups them (epoch marks) in
-		// stable (worker, discovery) order into the recompute list.
-		e.pool.Run(k, e.parDepFn)
-		if e.parSeen == nil || len(e.parSeen) < e.inst.NumVars() {
-			e.parSeen = make([]int64, e.inst.NumVars())
-		}
-		e.parEpoch++
-		e.recomp = e.recomp[:0]
-		for w := 0; w < k; w++ {
-			pw := &e.parWs[w]
-			for _, z := range pw.deps {
-				if e.parSeen[z] != e.parEpoch {
-					e.parSeen[z] = e.parEpoch
-					e.recomp = append(e.recomp, z)
-				}
-			}
-			pw.deps = pw.deps[:0]
-		}
-		// Phase 2: workers evaluate the update functions of their chunk of
-		// the recompute list against the round-start state (a Jacobi step —
-		// safe for contracting, monotonic instances).
-		k2 := e.partition(len(e.recomp))
-		e.pool.Run(k2, e.parEvalFn)
-		wall = time.Since(wall0).Nanoseconds()
-		if k2 > k {
-			k = k2
-		}
-		for w := 0; w < k; w++ {
-			pw := &e.parWs[w]
-			e.st.Stats.Reads += pw.reads
-			pw.reads = 0
-			for _, c := range pw.cands {
-				e.st.Stats.Updates++
-				if cur := e.st.Val[c.x]; !e.inst.Equal(c.v, cur) {
-					e.ledgerWrite(c.x, cur)
-					e.st.Val[c.x] = c.v
-					e.st.clock++
-					e.st.TS[c.x] = e.st.clock
-					e.st.Stats.Changes++
-					e.wl.AddOrAdjust(c.x)
-				}
-			}
-			pw.cands = pw.cands[:0]
-		}
+		return e.par.EndRound(len(e.frontier))
 	}
-
-	// Fold per-worker accounting into ParStats; work counts (not chunk
-	// sizes) drive the imbalance gauge, so a hub vertex dominating one
-	// partition registers even though every chunk has equal length.
-	var total, busiestWork, totalWork int64
-	for w := 0; w < e.workers; w++ {
-		pw := &e.parWs[w]
-		total += pw.busy
-		if pw.busy > busiest {
-			busiest = pw.busy
-		}
-		if pw.work > busiestWork {
-			busiestWork = pw.work
-		}
-		totalWork += pw.work
-		pw.busy = 0
-		pw.work = 0
+	// Pull mode, two sub-phases. Phase 1: workers discover the frontier's
+	// dependents; the driver dedups them (epoch marks) in stable (worker,
+	// discovery) order into the recompute list.
+	e.par.Run(k, e.parDepFn)
+	if e.parSeen == nil || len(e.parSeen) < e.inst.NumVars() {
+		e.parSeen = make([]int64, e.inst.NumVars())
 	}
-	e.par.ParRounds++
-	e.par.Items += int64(len(e.frontier))
-	e.par.Candidates += totalWork
-	e.par.BusyNanos += total
-	e.par.WallNanos += wall
-	imb := 1.0
-	if totalWork > 0 {
-		imb = float64(busiestWork) * float64(k) / float64(totalWork)
-	}
-	e.par.LastImbalance = imb
-	if imb > e.par.MaxImbalance {
-		e.par.MaxImbalance = imb
-	}
-	return totalWork, busiest, wall
-}
-
-// partition splits n items into at most e.workers contiguous chunks of
-// near-equal length, filling e.parts, and returns the chunk count k
-// (k < workers when the frontier is smaller than the pool).
-func (e *Engine[V]) partition(n int) int {
-	if n == 0 {
-		return 0
-	}
-	k := e.workers
-	if k > n {
-		k = n
-	}
-	chunk := (n + k - 1) / k
-	k = (n + chunk - 1) / chunk // drop chunks the ceiling left empty
+	e.parEpoch++
+	e.recomp = e.recomp[:0]
 	for w := 0; w < k; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+		pw := &e.parWs[w]
+		for _, z := range pw.deps {
+			if e.parSeen[z] != e.parEpoch {
+				e.parSeen[z] = e.parEpoch
+				e.recomp = append(e.recomp, z)
+			}
 		}
-		e.parts[w] = span{lo, hi}
+		pw.deps = pw.deps[:0]
 	}
-	return k
+	// Phase 2: workers evaluate the update functions of their chunk of
+	// the recompute list against the round-start state (a Jacobi step —
+	// safe for contracting, monotonic instances).
+	k = e.par.Partition(len(e.recomp))
+	e.par.Run(k, e.parEvalFn)
+	for w := 0; w < k; w++ {
+		pw := &e.parWs[w]
+		e.st.Stats.Reads += pw.reads
+		pw.reads = 0
+		for _, c := range pw.cands {
+			e.st.Stats.Updates++
+			if cur := e.st.Val[c.x]; !e.inst.Equal(c.v, cur) {
+				e.ledgerWrite(c.x, cur)
+				e.st.Val[c.x] = c.v
+				e.st.clock++
+				e.st.TS[c.x] = e.st.clock
+				e.st.Stats.Changes++
+				e.wl.AddOrAdjust(c.x)
+			}
+		}
+		pw.cands = pw.cands[:0]
+	}
+	return e.par.EndRound(len(e.frontier))
 }

@@ -160,6 +160,9 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graph binary: reading edge weight: %w", err)
 		}
+		if err := validateWeight(w); err != nil {
+			return nil, fmt.Errorf("graph binary: edge (%d,%d): %w", u, v, err)
+		}
 		if !g.InsertEdge(u, v, w) {
 			return nil, fmt.Errorf("graph binary: duplicate or degenerate edge (%d,%d)", u, v)
 		}

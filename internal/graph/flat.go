@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // DefaultCompactThreshold is the overlay-to-base ratio above which a Flat
 // view rebuilds its CSR snapshots. 0.25 keeps overlay scans a small
@@ -23,7 +26,7 @@ const DefaultCompactThreshold = 0.25
 // tombstoned base edge resurrects it in place with the new weight.
 //
 // The overlay is kept small: once the number of staged half-edge
-// operations since the last rebuild exceeds a configurable fraction of the
+// operations since the last rebuild exceeds a fixed fraction of the
 // base size (see SetCompactThreshold and NeedCompact), MaybeCompact
 // rebuilds the CSR from the graph and clears the overlay, so a long-lived
 // process never degrades to all-overlay reads.
@@ -69,8 +72,8 @@ func (f *Flat) rebuild(g *Graph) {
 
 // SetCompactThreshold sets the overlay-to-base ratio above which
 // MaybeCompact rebuilds the snapshots. Values at or below zero compact
-// after every staged batch; the zero Flat default is
-// DefaultCompactThreshold.
+// after every staged batch. The maintainers keep DefaultCompactThreshold;
+// tests lower or raise it to force or suppress compactions.
 func (f *Flat) SetCompactThreshold(t float64) { f.threshold = t }
 
 // Compactions returns how many times the CSR base has been rebuilt.
@@ -270,8 +273,8 @@ func (d *flatDir) each(u NodeID, fn func(v NodeID, w int64)) {
 }
 
 // AppendOutSorted appends u's live out-neighbor ids to buf in ascending
-// order and returns the extended slice. The base row is already sorted;
-// the short overlay tail is insertion-sorted into place. Depth-first
+// order and returns the extended slice. The base row is already sorted,
+// so only the short overlay tail has to be sorted into place. Depth-first
 // traversals use this with a shared arena to visit neighbors in
 // deterministic order without per-node allocation.
 func (f *Flat) AppendOutSorted(u NodeID, buf []NodeID) []NodeID {
@@ -286,15 +289,42 @@ func (f *Flat) AppendOutSorted(u NodeID, buf []NodeID) []NodeID {
 			}
 		}
 	}
+	sorted := len(buf) - base
 	for _, e := range extra {
 		buf = append(buf, e.To)
 	}
-	for i := base + 1; i < len(buf); i++ {
-		for j := i; j > base && buf[j] < buf[j-1]; j-- {
-			buf[j], buf[j-1] = buf[j-1], buf[j]
+	sortIDs(buf[base:], sorted)
+	return buf
+}
+
+// AppendOutSorted appends u's out-neighbor ids from the adjacency lists
+// to buf in ascending order and returns the extended slice: the same
+// enumeration as Flat.AppendOutSorted, for batch traversals that read
+// the graph directly.
+func (g *Graph) AppendOutSorted(u NodeID, buf []NodeID) []NodeID {
+	base := len(buf)
+	for _, e := range g.out[u] {
+		buf = append(buf, e.To)
+	}
+	sortIDs(buf[base:], 0)
+	return buf
+}
+
+// sortIDs sorts ids ascending, given that ids[:sorted] is already in
+// order. Insertion sort handles short rows and long rows with a short
+// unsorted tail in near-linear time; anything else goes to slices.Sort,
+// so a power-law hub never degrades quadratically.
+func sortIDs(ids []NodeID, sorted int) {
+	const insertionMax = 32
+	if len(ids) > insertionMax && len(ids)-sorted > insertionMax {
+		slices.Sort(ids)
+		return
+	}
+	for i := max(sorted, 1); i < len(ids); i++ {
+		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
+			ids[j], ids[j-1] = ids[j-1], ids[j]
 		}
 	}
-	return buf
 }
 
 // SnapshotIn builds a CSR over the graph's in-adjacency: row u holds the

@@ -28,6 +28,12 @@ type Edge struct {
 // comfortably below overflow when added to any realistic path weight.
 const Infinity int64 = math.MaxInt64 / 4
 
+// MaxEdgeWeight is the largest edge weight the input paths accept
+// (Update.Validate, Read, ReadBinary): 2^30 - 1. A simple path has fewer
+// than 2^31 edges (node ids are int32), so every simple-path sum stays
+// below Infinity and no relaxation d(u) + w can overflow.
+const MaxEdgeWeight = Infinity >> 31
+
 // Graph is a mutable labeled graph. Directed graphs maintain both out- and
 // in-adjacency; undirected graphs store each edge in both endpoint lists
 // and expose them through the out-adjacency only.

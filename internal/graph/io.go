@@ -186,6 +186,9 @@ func Read(r io.Reader) (*Graph, error) {
 			if u < 0 || u >= int64(g.NumNodes()) || v < 0 || v >= int64(g.NumNodes()) {
 				return nil, fmt.Errorf("graph: line %d: edge (%d,%d) out of range", line, u, v)
 			}
+			if err := validateWeight(wgt); err != nil {
+				return nil, fmt.Errorf("graph: line %d: edge (%d,%d): %v", line, u, v, err)
+			}
 			if !g.InsertEdge(NodeID(u), NodeID(v), wgt) {
 				return nil, fmt.Errorf("graph: line %d: duplicate or degenerate edge (%d,%d)", line, u, v)
 			}

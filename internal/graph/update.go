@@ -130,9 +130,9 @@ func (g *Graph) Apply(b Batch) Batch {
 }
 
 // Validate checks that the update is well-formed against a graph with n
-// nodes: both endpoints in [0, n) and a non-negative weight. A negative n
-// skips the upper-bound check, validating only what is knowable without a
-// graph (non-negative ids and weights) — the mode used by ReadBatch, where
+// nodes: both endpoints in [0, n) and a weight in [0, MaxEdgeWeight]. A
+// negative n skips the upper-bound check on node ids, validating only
+// what is knowable without a graph — the mode used by ReadBatch, where
 // the target graph is not yet known.
 func (u Update) Validate(n int) error {
 	for _, v := range [2]NodeID{u.From, u.To} {
@@ -143,8 +143,18 @@ func (u Update) Validate(n int) error {
 			return fmt.Errorf("node %d out of range [0,%d)", v, n)
 		}
 	}
-	if u.W < 0 {
-		return fmt.Errorf("negative weight %d", u.W)
+	return validateWeight(u.W)
+}
+
+// validateWeight enforces the accepted edge-weight domain [0,
+// MaxEdgeWeight], the one check behind Update.Validate and both graph
+// readers.
+func validateWeight(w int64) error {
+	if w < 0 {
+		return fmt.Errorf("negative weight %d", w)
+	}
+	if w > MaxEdgeWeight {
+		return fmt.Errorf("weight %d above MaxEdgeWeight %d", w, MaxEdgeWeight)
 	}
 	return nil
 }

@@ -1,19 +1,21 @@
 // Package pq provides an indexed binary min-heap over dense int32 handles
 // with O(log n) add-or-adjust (decrease/increase-key), the priority queue
-// behind Dijkstra-style algorithms throughout this repository.
+// behind Dijkstra-style algorithms and the fixpoint engine's worklists
+// throughout this repository.
 package pq
 
 // Heap is an indexed min-heap over handles 0..n-1 ordered by an external
-// comparator. The zero value is not usable; call New.
-type Heap struct {
-	less  func(a, b int32) bool
-	items []int32
-	pos   []int32
+// comparator. The handle type is any int32-based id (node ids, engine
+// variables). The zero value is not usable; call New.
+type Heap[T ~int32] struct {
+	less  func(a, b T) bool
+	items []T
+	pos   []int32 // pos[x] = index of x in items, -1 if absent
 }
 
 // New returns a heap over handles 0..n-1 ordered by less.
-func New(n int, less func(a, b int32) bool) *Heap {
-	h := &Heap{less: less, pos: make([]int32, n)}
+func New[T ~int32](n int, less func(a, b T) bool) *Heap[T] {
+	h := &Heap[T]{less: less, pos: make([]int32, n)}
 	for i := range h.pos {
 		h.pos[i] = -1
 	}
@@ -21,13 +23,13 @@ func New(n int, less func(a, b int32) bool) *Heap {
 }
 
 // Len returns the number of queued handles.
-func (h *Heap) Len() int { return len(h.items) }
+func (h *Heap[T]) Len() int { return len(h.items) }
 
 // Contains reports whether x is queued.
-func (h *Heap) Contains(x int32) bool { return h.pos[x] >= 0 }
+func (h *Heap[T]) Contains(x T) bool { return h.pos[x] >= 0 }
 
 // Grow extends the handle space to n.
-func (h *Heap) Grow(n int) {
+func (h *Heap[T]) Grow(n int) {
 	for len(h.pos) < n {
 		h.pos = append(h.pos, -1)
 	}
@@ -35,7 +37,7 @@ func (h *Heap) Grow(n int) {
 
 // AddOrAdjust inserts x, or restores heap order after x's key changed —
 // the paper's que.addOrAdjust.
-func (h *Heap) AddOrAdjust(x int32) {
+func (h *Heap[T]) AddOrAdjust(x T) {
 	if h.pos[x] < 0 {
 		h.pos[x] = int32(len(h.items))
 		h.items = append(h.items, x)
@@ -49,7 +51,7 @@ func (h *Heap) AddOrAdjust(x int32) {
 }
 
 // Pop removes and returns the minimum handle.
-func (h *Heap) Pop() (int32, bool) {
+func (h *Heap[T]) Pop() (T, bool) {
 	if len(h.items) == 0 {
 		return 0, false
 	}
@@ -65,13 +67,13 @@ func (h *Heap) Pop() (int32, bool) {
 	return top, true
 }
 
-func (h *Heap) swap(i, j int) {
+func (h *Heap[T]) swap(i, j int) {
 	h.items[i], h.items[j] = h.items[j], h.items[i]
 	h.pos[h.items[i]] = int32(i)
 	h.pos[h.items[j]] = int32(j)
 }
 
-func (h *Heap) up(i int) bool {
+func (h *Heap[T]) up(i int) bool {
 	moved := false
 	for i > 0 {
 		p := (i - 1) / 2
@@ -85,7 +87,7 @@ func (h *Heap) up(i int) bool {
 	return moved
 }
 
-func (h *Heap) down(i int) {
+func (h *Heap[T]) down(i int) {
 	n := len(h.items)
 	for {
 		l, r := 2*i+1, 2*i+2

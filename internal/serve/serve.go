@@ -311,14 +311,6 @@ type Options struct {
 	// worker pool is internal to the maintainer; the host's single-writer
 	// apply loop still blocks until each repair completes.
 	Workers int
-	// CompactThreshold configures the flat adjacency view's overlay
-	// compaction for maintainers that keep one (SSSP, CC, BC): the CSR
-	// base is rebuilt once staged overlay operations exceed this fraction
-	// of its size, bounding read degradation on long update streams. 0
-	// keeps the maintainer default (graph.DefaultCompactThreshold); the
-	// setting is re-applied after a heal recompute rebuilds the
-	// maintainer.
-	CompactThreshold float64
 }
 
 func (o Options) withDefaults() Options {
@@ -369,12 +361,6 @@ type tracerSetter interface{ SetTracer(fixpoint.Tracer) }
 // and the apply loop (heal re-install), honoring the maintainers'
 // single-writer contract.
 type workersSetter interface{ SetWorkers(int) }
-
-// compactSetter is the optional Serveable extension for the flat
-// adjacency view's compaction threshold (see graph.Flat). Called only
-// from host construction and the apply loop (heal re-install), honoring
-// the maintainers' single-writer contract.
-type compactSetter interface{ SetCompactThreshold(float64) }
 
 // parStatser is the optional Serveable extension exposing cumulative
 // parallel-drain counters, snapshotted around each Apply to produce
@@ -548,11 +534,6 @@ func NewHost(m Serveable, opt Options) *Host {
 			ws.SetWorkers(h.opt.Workers)
 			h.stats.Workers = h.opt.Workers
 			h.met.workersG.Set(float64(h.opt.Workers))
-		}
-	}
-	if h.opt.CompactThreshold > 0 {
-		if cs, ok := m.(compactSetter); ok {
-			cs.SetCompactThreshold(h.opt.CompactThreshold)
 		}
 	}
 	if h.opt.Recorder != nil {
@@ -1160,12 +1141,6 @@ func (h *Host) absorbPanic(raw graph.Batch, pval any) {
 			if h.opt.Workers > 1 {
 				if ws, wok := h.m.(workersSetter); wok {
 					ws.SetWorkers(h.opt.Workers)
-				}
-			}
-			// And the flat view's compaction threshold, for the same reason.
-			if h.opt.CompactThreshold > 0 {
-				if cs, cok := h.m.(compactSetter); cok {
-					cs.SetCompactThreshold(h.opt.CompactThreshold)
 				}
 			}
 			data = h.m.Snapshot()

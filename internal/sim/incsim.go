@@ -26,7 +26,7 @@ import (
 // maintainer one apply loop and publishes immutable snapshots to readers.
 type Inc struct {
 	*simState
-	hq      *pq.Heap
+	hq      *pq.Heap[int32]
 	inH0    []int64
 	affMark []int64 // epoch marks: AFF membership (work ledger)
 	chMark  []int64 // epoch marks: written this repair (work ledger)

@@ -33,19 +33,19 @@ import (
 // loop and publishes immutable snapshots to readers.
 type Inc struct {
 	g    *graph.Graph
-	flat *graph.Flat // CSR+overlay adjacency; nil when built WithoutFlat
+	flat *graph.Flat // CSR+overlay adjacency, the hot loops' only source
 	src  graph.NodeID
 
 	dist []int64
-	wq   *pq.Heap // step-function queue, keyed by current distance
+	wq   *pq.Heap[graph.NodeID] // step-function queue, keyed by current distance
 
-	hq      *pq.Heap // h's queue, keyed by old distance
+	hq      *pq.Heap[graph.NodeID] // h's queue, keyed by old distance
 	hkey    []int64
-	oldVal  []int64 // pre-revision distances of this round's revised nodes
-	mark    []int64 // epoch marks: revised this round
-	affMark []int64 // epoch marks: AFF membership (work ledger)
-	chMark  []int64 // epoch marks: written this repair (work ledger)
-	chOld   []int64 // repair-start distances of written nodes (work ledger)
+	oldVal  []int64        // pre-revision distances of this round's revised nodes
+	mark    []int64        // epoch marks: revised this round
+	affMark []int64        // epoch marks: AFF membership (work ledger)
+	chMark  []int64        // epoch marks: written this repair (work ledger)
+	chOld   []int64        // repair-start distances of written nodes (work ledger)
 	chList  []graph.NodeID // written nodes, swept at end of Repair
 	epoch   int64
 
@@ -55,39 +55,19 @@ type Inc struct {
 
 	// Parallel resume mode (see parallel.go). Zero-valued for sequential
 	// maintainers, so the default path allocates nothing extra.
-	workers    int
-	pool       *fixpoint.Pool
+	par        fixpoint.RoundDriver
 	ws         []ssspWorker
-	parts      []ssspPart
 	frontier   []graph.NodeID
-	parRelaxFn func(int)
-	par        fixpoint.ParStats
+	parRelaxFn func(int) int64
 }
-
-// Option configures an incremental maintainer.
-type Option func(*incOpts)
-
-type incOpts struct{ noFlat bool }
-
-// WithoutFlat disables the flat CSR+overlay adjacency view, keeping the
-// legacy pointer-list hot path. Used by differential tests that pin the
-// two paths against each other.
-func WithoutFlat() Option { return func(o *incOpts) { o.noFlat = true } }
 
 // NewInc runs Dijkstra and returns the incremental algorithm positioned
 // at its fixpoint.
-func NewInc(g *graph.Graph, src graph.NodeID, opts ...Option) *Inc {
-	var o incOpts
-	for _, f := range opts {
-		f(&o)
-	}
-	i := &Inc{g: g, src: src, dist: Dijkstra(g, src)}
-	if !o.noFlat {
-		i.flat = graph.NewFlat(g)
-	}
+func NewInc(g *graph.Graph, src graph.NodeID) *Inc {
+	i := &Inc{g: g, flat: graph.NewFlat(g), src: src, dist: Dijkstra(g, src)}
 	n := g.NumNodes()
-	i.wq = pq.New(n, func(a, b int32) bool { return i.dist[a] < i.dist[b] })
-	i.hq = pq.New(n, func(a, b int32) bool { return i.hkey[a] < i.hkey[b] })
+	i.wq = pq.New(n, func(a, b graph.NodeID) bool { return i.dist[a] < i.dist[b] })
+	i.hq = pq.New(n, func(a, b graph.NodeID) bool { return i.hkey[a] < i.hkey[b] })
 	i.hkey = make([]int64, n)
 	i.oldVal = make([]int64, n)
 	i.mark = make([]int64, n)
@@ -101,18 +81,9 @@ func NewInc(g *graph.Graph, src graph.NodeID, opts ...Option) *Inc {
 // Graph returns the maintained graph.
 func (i *Inc) Graph() *graph.Graph { return i.g }
 
-// Flat returns the maintainer's flat adjacency view (nil WithoutFlat),
-// for observability of overlay size and compaction counts.
+// Flat returns the maintainer's flat adjacency view, for observability
+// of overlay size and compaction counts.
 func (i *Inc) Flat() *graph.Flat { return i.flat }
-
-// SetCompactThreshold sets the flat view's overlay-to-base compaction
-// ratio (see graph.Flat.SetCompactThreshold). No-op when the maintainer
-// was built WithoutFlat. Single-writer contract: call between Applies.
-func (i *Inc) SetCompactThreshold(t float64) {
-	if i.flat != nil {
-		i.flat.SetCompactThreshold(t)
-	}
-}
 
 // Dist returns the current distance vector, aliased to internal state.
 func (i *Inc) Dist() []int64 { return i.dist }
@@ -151,10 +122,8 @@ func (i *Inc) Apply(b graph.Batch) int {
 func (i *Inc) Stage(b graph.Batch) {
 	applied := i.g.Apply(b.Net(i.g.Directed()))
 	i.pending = append(i.pending, applied...)
-	if i.flat != nil {
-		i.flat.Stage(i.g, applied)
-		i.flat.MaybeCompact(i.g)
-	}
+	i.flat.Stage(i.g, applied)
+	i.flat.MaybeCompact(i.g)
 	for len(i.dist) < i.g.NumNodes() {
 		i.dist = append(i.dist, Infinity)
 		i.hkey = append(i.hkey, 0)
@@ -266,13 +235,12 @@ func (i *Inc) Repair() int {
 	// update functions lost only non-tight candidates.
 	var revised []graph.NodeID
 	for {
-		x, ok := i.hq.Pop()
+		v, ok := i.hq.Pop()
 		if !ok {
 			break
 		}
 		i.stats.HPops++
 		h0++
-		v := graph.NodeID(x)
 		i.ledgerAff(v)
 		dv := i.oldDist(v)
 		newv := i.feasibleValue(v, dv)
@@ -288,15 +256,7 @@ func (i *Inc) Repair() int {
 			// Propagate along v's anchor edges only: C_xw = tight in-edges
 			// (Example 3), i.e. out-edges (v, w) with old dist_v + w(v, w)
 			// = old dist_w. Non-tight edges never justified w's value.
-			if i.flat != nil {
-				i.hAnchorsFlat(v, dv)
-			} else {
-				for _, e := range i.g.Out(v) {
-					if dv < Infinity && dv+e.W == i.oldDist(e.To) {
-						i.hEnqueue(e.To)
-					}
-				}
-			}
+			i.hAnchors(v, dv)
 		}
 	}
 	mid := time.Now()
@@ -312,14 +272,14 @@ func (i *Inc) Repair() int {
 			i.ledgerWrite(v, i.dist[v])
 			i.dist[v] = nb
 		}
-		i.wq.AddOrAdjust(int32(v))
+		i.wq.AddOrAdjust(v)
 	}
 	relax := func(u, v graph.NodeID, w int64) {
 		i.ledgerAff(u) // push-seed analog: the tail re-propagates
 		if i.dist[u] < Infinity && i.dist[u]+w < i.dist[v] {
 			i.ledgerWrite(v, i.dist[v])
 			i.dist[v] = i.dist[u] + w
-			i.wq.AddOrAdjust(int32(v))
+			i.wq.AddOrAdjust(v)
 		}
 	}
 	for _, up := range applied {
@@ -332,7 +292,7 @@ func (i *Inc) Repair() int {
 			relax(up.To, up.From, up.W)
 		}
 	}
-	if i.workers > 1 {
+	if i.par.Workers() > 1 {
 		i.drainParallel()
 	} else {
 		// The outer loop counts BFS-level rounds into the ledger (queue
@@ -340,30 +300,7 @@ func (i *Inc) Repair() int {
 		// Dijkstra's pop order.
 		for i.wq.Len() > 0 {
 			i.stats.Ledger.Rounds++
-			for n := i.wq.Len(); n > 0; n-- {
-				x, ok := i.wq.Pop()
-				if !ok {
-					break
-				}
-				i.stats.Pops++
-				v := graph.NodeID(x)
-				dv := i.dist[v]
-				if dv >= Infinity {
-					continue
-				}
-				if i.flat != nil {
-					i.relaxOutFlat(v, dv)
-					continue
-				}
-				for _, e := range i.g.Out(v) {
-					i.stats.Updates++
-					if alt := dv + e.W; alt < i.dist[e.To] {
-						i.ledgerWrite(e.To, i.dist[e.To])
-						i.dist[e.To] = alt
-						i.wq.AddOrAdjust(int32(e.To))
-					}
-				}
-			}
+			i.popRound(i.wq.Len())
 		}
 	}
 	i.ledgerSettle()
@@ -380,12 +317,27 @@ func (i *Inc) Repair() int {
 
 func (i *Inc) hEnqueue(v graph.NodeID) {
 	i.hkey[v] = i.oldDist(v)
-	i.hq.AddOrAdjust(int32(v))
+	i.hq.AddOrAdjust(v)
 }
 
-// hAnchorsFlat is the flat-span form of h's anchor propagation: enqueue
-// every out-neighbor w with old dist_v + w(v, w) = old dist_w.
-func (i *Inc) hAnchorsFlat(v graph.NodeID, dv int64) {
+// popRound pops n nodes in Dijkstra's priority order and relaxes their
+// out-edges sequentially: one round of the resumed step function.
+func (i *Inc) popRound(n int) {
+	for ; n > 0; n-- {
+		v, ok := i.wq.Pop()
+		if !ok {
+			return
+		}
+		i.stats.Pops++
+		if dv := i.dist[v]; dv < Infinity {
+			i.relaxOut(v, dv)
+		}
+	}
+}
+
+// hAnchors is h's anchor propagation: enqueue every out-neighbor w with
+// old dist_v + w(v, w) = old dist_w.
+func (i *Inc) hAnchors(v graph.NodeID, dv int64) {
 	if dv >= Infinity {
 		return
 	}
@@ -410,11 +362,11 @@ func (i *Inc) hAnchorsFlat(v graph.NodeID, dv int64) {
 	}
 }
 
-// relaxOutFlat relaxes every live out-edge of v at distance dv through
-// the flat spans: the struct-of-arrays inner loop of the resumed
-// Dijkstra, scanning contiguous target and weight arrays instead of
-// chasing []Edge pointers.
-func (i *Inc) relaxOutFlat(v graph.NodeID, dv int64) {
+// relaxOut relaxes every live out-edge of v at distance dv through the
+// flat spans: the struct-of-arrays inner loop of the resumed Dijkstra,
+// scanning contiguous target and weight arrays instead of chasing []Edge
+// pointers.
+func (i *Inc) relaxOut(v graph.NodeID, dv int64) {
 	ts, ws, dead, extra := i.flat.OutSpans(v)
 	if dead == nil {
 		for k, t := range ts {
@@ -422,7 +374,7 @@ func (i *Inc) relaxOutFlat(v graph.NodeID, dv int64) {
 			if alt := dv + ws[k]; alt < i.dist[t] {
 				i.ledgerWrite(t, i.dist[t])
 				i.dist[t] = alt
-				i.wq.AddOrAdjust(int32(t))
+				i.wq.AddOrAdjust(t)
 			}
 		}
 	} else {
@@ -434,7 +386,7 @@ func (i *Inc) relaxOutFlat(v graph.NodeID, dv int64) {
 			if alt := dv + ws[k]; alt < i.dist[t] {
 				i.ledgerWrite(t, i.dist[t])
 				i.dist[t] = alt
-				i.wq.AddOrAdjust(int32(t))
+				i.wq.AddOrAdjust(t)
 			}
 		}
 	}
@@ -443,90 +395,67 @@ func (i *Inc) relaxOutFlat(v graph.NodeID, dv int64) {
 		if alt := dv + e.W; alt < i.dist[e.To] {
 			i.ledgerWrite(e.To, i.dist[e.To])
 			i.dist[e.To] = alt
-			i.wq.AddOrAdjust(int32(e.To))
+			i.wq.AddOrAdjust(e.To)
 		}
 	}
 }
 
 // feasibleValue evaluates f_v on the feasible input set Ȳ_v: in-neighbors
 // determined at or after v in the old distance order contribute their
-// initial value ∞ (Fig. 4, lines 5-6). The flat path folds the meet with
-// the branch-free MinInt64; distances stay within [0, Infinity] with
-// Infinity = MaxInt64/4, so the no-overflow precondition holds.
+// initial value ∞ (Fig. 4, lines 5-6). The meet is the branch-free
+// MinInt64; distances stay within [0, Infinity] and edge weights within
+// [0, graph.MaxEdgeWeight], so the no-overflow precondition holds.
 func (i *Inc) feasibleValue(v graph.NodeID, dv int64) int64 {
 	if v == i.src {
 		return 0
 	}
 	best := Infinity
-	if i.flat != nil {
-		ts, ws, dead, extra := i.flat.InSpans(v)
-		for k, u := range ts {
-			if dead != nil && dead[k] {
-				continue
-			}
-			i.stats.Reads++
-			if i.oldDist(u) >= dv {
-				continue // determined later: its feasible stand-in is ∞
-			}
-			if d := i.dist[u]; d < Infinity {
-				best = fixpoint.MinInt64(best, d+ws[k])
-			}
+	ts, ws, dead, extra := i.flat.InSpans(v)
+	for k, u := range ts {
+		if dead != nil && dead[k] {
+			continue
 		}
-		for _, e := range extra {
-			i.stats.Reads++
-			if i.oldDist(e.To) >= dv {
-				continue
-			}
-			if d := i.dist[e.To]; d < Infinity {
-				best = fixpoint.MinInt64(best, d+e.W)
-			}
-		}
-		return best
-	}
-	for _, e := range i.g.In(v) {
 		i.stats.Reads++
-		u := e.To
 		if i.oldDist(u) >= dv {
 			continue // determined later: its feasible stand-in is ∞
 		}
-		if d := i.dist[u]; d < Infinity && d+e.W < best {
-			best = d + e.W
+		if d := i.dist[u]; d < Infinity {
+			best = fixpoint.MinInt64(best, d+ws[k])
+		}
+	}
+	for _, e := range extra {
+		i.stats.Reads++
+		if i.oldDist(e.To) >= dv {
+			continue
+		}
+		if d := i.dist[e.To]; d < Infinity {
+			best = fixpoint.MinInt64(best, d+e.W)
 		}
 	}
 	return best
 }
 
 // best is Dijkstra's relaxation target: the minimum in-neighbor distance
-// plus weight, on actual current values (branch-free meet on the flat
-// path).
+// plus weight, on actual current values (branch-free meet).
 func (i *Inc) best(v graph.NodeID) int64 {
 	if v == i.src {
 		return 0
 	}
 	best := Infinity
-	if i.flat != nil {
-		ts, ws, dead, extra := i.flat.InSpans(v)
-		for k, u := range ts {
-			if dead != nil && dead[k] {
-				continue
-			}
-			i.stats.Reads++
-			if d := i.dist[u]; d < Infinity {
-				best = fixpoint.MinInt64(best, d+ws[k])
-			}
+	ts, ws, dead, extra := i.flat.InSpans(v)
+	for k, u := range ts {
+		if dead != nil && dead[k] {
+			continue
 		}
-		for _, e := range extra {
-			i.stats.Reads++
-			if d := i.dist[e.To]; d < Infinity {
-				best = fixpoint.MinInt64(best, d+e.W)
-			}
-		}
-		return best
-	}
-	for _, e := range i.g.In(v) {
 		i.stats.Reads++
-		if d := i.dist[e.To]; d < Infinity && d+e.W < best {
-			best = d + e.W
+		if d := i.dist[u]; d < Infinity {
+			best = fixpoint.MinInt64(best, d+ws[k])
+		}
+	}
+	for _, e := range extra {
+		i.stats.Reads++
+		if d := i.dist[e.To]; d < Infinity {
+			best = fixpoint.MinInt64(best, d+e.W)
 		}
 	}
 	return best
