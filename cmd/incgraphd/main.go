@@ -109,6 +109,7 @@ import (
 	"time"
 
 	"incgraph"
+	"incgraph/internal/serve"
 	"incgraph/internal/shard"
 )
 
@@ -660,7 +661,12 @@ func runReplica(logger *slog.Logger, c *cliFlags, base *incgraph.Graph, pat *inc
 			writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown algo " + r.PathValue("algo")})
 			return
 		}
-		writeJSON(w, http.StatusOK, v)
+		body, err := serve.EncodeView(&v)
+		if err != nil {
+			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+			return
+		}
+		serve.WriteBody(w, body)
 	})
 	mux.HandleFunc("POST /replica/promote", func(w http.ResponseWriter, r *http.Request) {
 		if !promoted.CompareAndSwap(false, true) {

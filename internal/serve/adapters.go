@@ -209,19 +209,55 @@ func (s *simServeable) SetTracer(t fixpoint.Tracer) { s.inc.SetTracer(t) }
 func (s *simServeable) Apply(b graph.Batch) ApplyResult {
 	return statsDelta(s.inc, s.inc.Graph(), len(b), func() int { return s.inc.Apply(b) })
 }
-func (s *simServeable) Snapshot() any {
-	r := s.inc.Relation()
-	n := len(r.Bits) / r.NQ
-	v := SimView{NQ: r.NQ, Count: r.Count(), Matches: make([][]graph.NodeID, r.NQ)}
-	for u := 0; u < r.NQ; u++ {
-		v.Matches[u] = []graph.NodeID{}
-		for d := 0; d < n; d++ {
-			if r.Match(graph.NodeID(d), graph.NodeID(u)) {
-				v.Matches[u] = append(v.Matches[u], graph.NodeID(d))
-			}
+func (s *simServeable) Snapshot() any { return simView(s.inc.Relation()) }
+
+// simView lists each pattern node's matches in two sequential passes
+// over the relation: one counts each pattern node's matches, the other
+// fills pre-sized rows. Neither branches on a match bit (the compiler
+// turns b2i into a flag move), so the cost does not depend on how
+// unpredictably matches are spread. Every row is non-nil, so an
+// unmatched pattern node encodes as [] rather than null.
+func simView(r sim.Relation) SimView {
+	nq := r.NQ
+	rows := make([]int, nq)
+	u := 0
+	for _, b := range r.Bits {
+		rows[u] += b2i(b)
+		if u++; u == nq {
+			u = 0
+		}
+	}
+	count := 0
+	for _, c := range rows {
+		count += c
+	}
+	// Each row is followed by one spare slot, which absorbs the store the
+	// fill pass makes for a pair that does not match.
+	all := make([]graph.NodeID, count+nq)
+	next := make([]int, nq)
+	v := SimView{NQ: nq, Count: count, Matches: make([][]graph.NodeID, nq)}
+	off := 0
+	for u, c := range rows {
+		next[u] = off
+		v.Matches[u] = all[off : off+c : off+c]
+		off += c + 1
+	}
+	u, d := 0, graph.NodeID(0)
+	for _, b := range r.Bits {
+		all[next[u]] = d
+		next[u] += b2i(b)
+		if u++; u == nq {
+			u, d = 0, d+1
 		}
 	}
 	return v
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // simState is the gob envelope of PersistState: the match relation, the

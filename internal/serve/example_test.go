@@ -63,19 +63,7 @@ func ExampleNewService() {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	fmt.Println(string(body))
+	fmt.Print(string(body))
 	// Output:
-	// {
-	//   "algo": "sssp",
-	//   "epoch": 1,
-	//   "batches": 1,
-	//   "data": {
-	//     "src": 0,
-	//     "dist": [
-	//       0,
-	//       2,
-	//       4
-	//     ]
-	//   }
-	// }
+	// {"algo":"sssp","epoch":1,"batches":1,"data":{"src":0,"dist":[0,2,4]}}
 }

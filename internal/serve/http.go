@@ -19,7 +19,7 @@ import (
 // Service is a set of named hosts behind one HTTP API:
 //
 //	POST /update[?algo=<name>][&wait=1]  body: batch text ("+ u v w" / "- u v [w]")
-//	GET  /query/{algo}                   current snapshot view, JSON
+//	GET  /query/{algo}                   current snapshot view, compact JSON
 //	GET  /stats                          per-host serving counters, JSON
 //	GET  /metrics                        Prometheus text exposition
 //	GET  /metrics.json                   registry snapshot with raw histogram buckets
@@ -233,7 +233,15 @@ func (s *Service) Handler() http.Handler {
 			httpError(w, http.StatusNotFound, fmt.Errorf("unknown algo %q", r.PathValue("algo")))
 			return
 		}
-		writeJSON(w, http.StatusOK, h.View())
+		t0 := time.Now()
+		body, err := h.body()
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, err)
+			return
+		}
+		WriteBody(w, body)
+		h.met.querySeconds.Observe(time.Since(t0).Seconds())
+		h.met.queryBytes.Observe(float64(len(body)))
 	})
 	mux.Handle("GET /metrics", s.reg.Handler())
 	// The JSON snapshot keeps raw histogram buckets, so a federating
@@ -449,6 +457,26 @@ func queryN(r *http.Request, max int) (int, error) {
 		n = max
 	}
 	return n, nil
+}
+
+// EncodeView returns the compact JSON body GET /query/{algo} serves for
+// v: View's keys in field order (algo, epoch, batches, degraded, data)
+// and a trailing newline. Hosts and replicas both encode through it, so
+// they emit identical bytes for identical views.
+func EncodeView(v *View) ([]byte, error) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return nil, fmt.Errorf("serve: encode %s view: %w", v.Algo, err)
+	}
+	return append(b, '\n'), nil
+}
+
+// WriteBody writes an already-encoded JSON body as a 200 response with
+// its Content-Length.
+func WriteBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

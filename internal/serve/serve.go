@@ -23,9 +23,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
-
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"incgraph/internal/fixpoint"
 	"incgraph/internal/graph"
@@ -183,7 +183,7 @@ type View struct {
 	// Epoch counts the raw (pre-coalescing) unit updates incorporated,
 	// in submission order: the view is exactly the query answer on
 	// G ⊕ stream[:Epoch]. This is the handle for prefix-consistency
-	// checks and for an eventual epoch-based double-buffer upgrade.
+	// checks.
 	Epoch uint64 `json:"epoch"`
 	// Batches counts the coalesced Apply calls behind the view.
 	Batches uint64 `json:"batches"`
@@ -407,6 +407,10 @@ type hostMetrics struct {
 	offenderCount  *obs.Gauge
 	offenderWorst  *obs.Gauge
 	offenderMin    *obs.Gauge
+
+	querySeconds *obs.Histogram
+	queryBytes   *obs.Histogram
+	viewEncodes  *obs.Counter
 }
 
 func newHostMetrics(r *obs.Registry, algo string) hostMetrics {
@@ -444,6 +448,9 @@ func newHostMetrics(r *obs.Registry, algo string) hostMetrics {
 		offenderCount:   r.Gauge("incgraph_offender_count", "Entries retained in the top-K worst-boundedness ring.", l),
 		offenderWorst:   r.Gauge("incgraph_offender_worst_ratio", "Highest boundedness quotient ever retained by the offender ring.", l),
 		offenderMin:     r.Gauge("incgraph_offender_min_ratio", "Lowest retained offender quotient — the ring's admission threshold.", l),
+		querySeconds:    r.Histogram("incgraph_query_seconds", "Wall time of one GET /query/{algo} handler call, body write included.", l),
+		queryBytes:      r.Histogram("incgraph_query_bytes", "Body size of one GET /query/{algo} response.", l),
+		viewEncodes:     r.Counter("incgraph_view_encodes_total", "Published views encoded for GET /query (body-cache misses).", l),
 	}
 }
 
@@ -456,20 +463,20 @@ type Host struct {
 	dir  bool
 	opt  Options
 
-	// viewMu guards the published view pointer. Readers hold it only for
-	// the pointer copy, so they never block the writer for longer than a
-	// pointer swap, and never observe a half-applied batch: the swap
-	// happens strictly after Apply and Snapshot complete.
-	//
-	// Upgrade path: because views are immutable and epoch-stamped, the
-	// RWMutex can be replaced by an atomic.Pointer[View] (a two-slot
-	// epoch/double-buffer scheme degenerates to exactly that when
-	// snapshots are fresh allocations, as here). The mutex is kept for
-	// now so future views may share mutable buffers with the maintainer
-	// under the read lock if snapshot allocation ever shows up in
-	// profiles.
-	viewMu sync.RWMutex
-	view   *View
+	// view is the published view. Views are fresh immutable allocations,
+	// so readers load the pointer without a lock and never observe a
+	// half-applied batch: the store happens strictly after Apply and
+	// Snapshot complete.
+	view atomic.Pointer[View]
+
+	// enc caches the encoded GET /query body of one published view. It
+	// is keyed by the *View pointer, not the epoch, because a degraded
+	// republish keeps the epoch of the view it replaces. The first reader
+	// of each view encodes it (encMu makes that at most once per view);
+	// the apply loop only drops the body when it publishes, so the O(|V|)
+	// encode stays off the write path.
+	encMu sync.Mutex
+	enc   atomic.Pointer[encodedView]
 
 	statMu sync.Mutex
 	stats  Stats
@@ -517,7 +524,7 @@ func NewHost(m Serveable, opt Options) *Host {
 		done: make(chan struct{}),
 	}
 	h.in = make(chan submission, h.opt.Queue)
-	h.view = &View{Algo: h.algo, Epoch: h.opt.BaseEpoch, Batches: h.opt.BaseBatches, Data: m.Snapshot()}
+	h.publish(&View{Algo: h.algo, Epoch: h.opt.BaseEpoch, Batches: h.opt.BaseBatches, Data: m.Snapshot()})
 	h.stats.Algo = h.algo
 	// A recovered host resumes its stream accounting where the durable
 	// prefix left off.
@@ -632,10 +639,49 @@ func (h *Host) NumNodes() int { return h.n }
 
 // View returns the current published snapshot. The returned value is
 // immutable and safe to retain across further updates.
-func (h *Host) View() *View {
-	h.viewMu.RLock()
-	defer h.viewMu.RUnlock()
-	return h.view
+func (h *Host) View() *View { return h.view.Load() }
+
+// encodedView is a view's GET /query body together with the view.
+type encodedView struct {
+	v *View
+	b []byte
+}
+
+// body returns the GET /query/{algo} body of the current view, as
+// EncodeView writes it. The first call after a publish encodes the view;
+// later calls return the same bytes until the next publish. The returned
+// slice is shared and must not be modified.
+func (h *Host) body() ([]byte, error) {
+	if c := h.enc.Load(); c != nil && c.v == h.view.Load() {
+		return c.b, nil
+	}
+	h.encMu.Lock()
+	defer h.encMu.Unlock()
+	// Encode whatever is current now, not the view seen above: views only
+	// move forward, so no view is ever encoded twice.
+	v := h.view.Load()
+	if c := h.enc.Load(); c != nil && c.v == v {
+		return c.b, nil
+	}
+	b, err := EncodeView(v)
+	if err != nil {
+		return nil, err
+	}
+	h.met.viewEncodes.Inc()
+	h.enc.Store(&encodedView{v: v, b: b})
+	return b, nil
+}
+
+// publish installs v as the current view and drops the replaced view's
+// body. The swap leaves the body alone when a reader stored one after
+// stale was loaded: that may be v's own, which must survive so v is
+// encoded only once. A body left behind for an older view is never
+// served for v (the key is the pointer) and the next encode replaces it.
+// Called only from NewHost and the apply loop.
+func (h *Host) publish(v *View) {
+	stale := h.enc.Load()
+	h.view.Store(v)
+	h.enc.CompareAndSwap(stale, nil)
 }
 
 // Stats returns a copy of the serving counters, with the derived fields
@@ -929,10 +975,7 @@ func (h *Host) apply(raw graph.Batch, oldest time.Time, tid trace.TraceID) {
 	epoch, batches := h.stats.Epoch, h.stats.BatchesApplied
 	h.statMu.Unlock()
 
-	v := &View{Algo: h.algo, Epoch: epoch, Batches: batches, Data: data}
-	h.viewMu.Lock()
-	h.view = v
-	h.viewMu.Unlock()
+	h.publish(&View{Algo: h.algo, Epoch: epoch, Batches: batches, Data: data})
 
 	if h.rec != nil {
 		sub.Arg("epoch", int64(epoch))
@@ -1094,10 +1137,8 @@ func (h *Host) absorbPanic(raw graph.Batch, pval any) {
 	// Republish the last good data under the degraded flag. The epoch is
 	// the stale view's: it honestly describes which prefix the data
 	// answers for.
-	h.viewMu.Lock()
-	old := h.view
-	h.view = &View{Algo: h.algo, Epoch: old.Epoch, Batches: batches, Degraded: true, Data: old.Data}
-	h.viewMu.Unlock()
+	old := h.view.Load()
+	h.publish(&View{Algo: h.algo, Epoch: old.Epoch, Batches: batches, Degraded: true, Data: old.Data})
 
 	if h.quarantined {
 		return
@@ -1165,10 +1206,7 @@ func (h *Host) absorbPanic(raw graph.Batch, pval any) {
 	h.met.heals.Inc()
 	h.met.degraded.Set(0)
 
-	v := &View{Algo: h.algo, Epoch: epoch, Batches: batches, Data: data}
-	h.viewMu.Lock()
-	h.view = v
-	h.viewMu.Unlock()
+	h.publish(&View{Algo: h.algo, Epoch: epoch, Batches: batches, Data: data})
 }
 
 func boolArg(b bool) int64 {

@@ -191,13 +191,12 @@ func (c *Client) Update(ctx context.Context, b graph.Batch, wait bool) (UpdateOu
 	return out, err
 }
 
-// wireView mirrors the serve.View JSON with the data left raw so the
-// caller can decode the algo-specific shape.
-type wireView struct {
-	Algo     string          `json:"algo"`
-	Epoch    uint64          `json:"epoch"`
-	Degraded bool            `json:"degraded"`
-	Data     json.RawMessage `json:"data"`
+// wireView mirrors the serve.View JSON with the algo's typed data, so a
+// shard's view decodes in one pass.
+type wireView[D any] struct {
+	Epoch    uint64 `json:"epoch"`
+	Degraded bool   `json:"degraded"`
+	Data     D      `json:"data"`
 }
 
 // ShardView is one shard's published answer vector plus the metadata
@@ -217,38 +216,21 @@ type ShardView struct {
 // View fetches the shard's published view for algo ("sssp" or "cc") and
 // extracts its value vector.
 func (c *Client) View(ctx context.Context, algo string) (ShardView, error) {
-	var sv ShardView
+	if algo != "sssp" && algo != "cc" {
+		return ShardView{}, fmt.Errorf("shard: no view decoder for algo %q", algo)
+	}
 	req, err := c.newRequest(ctx, http.MethodGet, c.Base+"/query/"+algo, nil)
 	if err != nil {
-		return sv, err
+		return ShardView{}, err
 	}
-	var wv wireView
-	if err := c.do(req, &wv); err != nil {
-		return sv, err
+	if algo == "sssp" {
+		var wv wireView[serve.SSSPView]
+		err := c.do(req, &wv)
+		return ShardView{Epoch: wv.Epoch, Degraded: wv.Degraded, Src: wv.Data.Src, Values: wv.Data.Dist}, err
 	}
-	sv.Epoch, sv.Degraded = wv.Epoch, wv.Degraded
-	switch algo {
-	case "sssp":
-		var d struct {
-			Src  graph.NodeID `json:"src"`
-			Dist []int64      `json:"dist"`
-		}
-		if err := json.Unmarshal(wv.Data, &d); err != nil {
-			return sv, fmt.Errorf("shard: sssp view: %w", err)
-		}
-		sv.Src, sv.Values = d.Src, d.Dist
-	case "cc":
-		var d struct {
-			Labels []int64 `json:"labels"`
-		}
-		if err := json.Unmarshal(wv.Data, &d); err != nil {
-			return sv, fmt.Errorf("shard: cc view: %w", err)
-		}
-		sv.Values = d.Labels
-	default:
-		return sv, fmt.Errorf("shard: no view decoder for algo %q", algo)
-	}
-	return sv, nil
+	var wv wireView[serve.CCView]
+	err = c.do(req, &wv)
+	return ShardView{Epoch: wv.Epoch, Degraded: wv.Degraded, Values: wv.Data.Labels}, err
 }
 
 // Eval runs one seeded local evaluation round on the shard. seeds are

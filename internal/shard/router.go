@@ -13,6 +13,7 @@ import (
 	"incgraph/internal/graph"
 	"incgraph/internal/obs"
 	"incgraph/internal/resilience"
+	"incgraph/internal/serve"
 	"incgraph/internal/trace"
 )
 
@@ -570,9 +571,14 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		res.Shards = shardStats
 		rt.degradedQueries.Inc()
 	}
+	body, err := json.Marshal(res)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
 	rt.queriesServed.Inc()
 	w.Header().Set(EpochHeader, res.EpochToken)
-	writeJSON(w, http.StatusOK, res)
+	serve.WriteBody(w, append(body, '\n'))
 }
 
 // gatherViews fetches every shard's view for algo concurrently through

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -81,8 +82,14 @@ func queryRouter(t *testing.T, h http.Handler, algo, minEpochs string) (*httptes
 	h.ServeHTTP(w, req)
 	var res QueryResult
 	if w.Code == http.StatusOK {
-		if err := json.Unmarshal(w.Body.Bytes(), &res); err != nil {
+		body := w.Body.Bytes()
+		if err := json.Unmarshal(body, &res); err != nil {
 			t.Fatalf("query response not JSON: %v", err)
+		}
+		// Compact: one line, with its length announced.
+		if n := bytes.Count(body, []byte("\n")); n != 1 || w.Header().Get("Content-Length") != strconv.Itoa(len(body)) {
+			t.Fatalf("query response has %d newlines and Content-Length %q for %d bytes",
+				n, w.Header().Get("Content-Length"), len(body))
 		}
 	}
 	return w, res
