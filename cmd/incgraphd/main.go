@@ -103,7 +103,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -274,6 +273,31 @@ func serveOptions(logger *slog.Logger, c *cliFlags) incgraph.ServeOptions {
 	return opt
 }
 
+// daemon is one incgraphd process: its flags, the shape of its input
+// graph, and the service every mode hosts on. A primary's start-up and
+// a replica's promotion bring maintainers up through the same build and
+// host methods, and every mode tears down through serve. The input graph
+// itself is passed to build only, so it is garbage once every
+// maintainer holds its own clone.
+type daemon struct {
+	logger *slog.Logger
+	c      *cliFlags
+	pat    *incgraph.Graph
+	part   shard.Partitioner
+	algos  []string
+	opt    incgraph.ServeOptions
+	svc    *incgraph.Service
+
+	nodes, edges int
+	directed     bool
+
+	// durable is the open WAL once host ran with -data-dir; a replica
+	// stores it at promotion, which a concurrent shutdown may observe.
+	durable atomic.Pointer[incgraph.Durable]
+	// follower is a replica's ship-and-replay loop, nil on a primary.
+	follower *shard.Follower
+}
+
 func run(logger *slog.Logger, c *cliFlags) error {
 	algoList, err := parseAlgos(c.algos)
 	if err != nil {
@@ -310,113 +334,151 @@ func run(logger *slog.Logger, c *cliFlags) error {
 			"fragment_edges", base.NumEdges(), "full_edges", full)
 	}
 
-	opt := serveOptions(logger, c)
-	if c.replicaOf != "" {
-		return runReplica(logger, c, base, pat, part, algoList, opt)
-	}
-
-	svc := incgraph.NewService()
+	dm := &daemon{logger: logger, c: c, pat: pat, part: part,
+		algos: algoList, opt: serveOptions(logger, c), svc: incgraph.NewService(),
+		nodes: base.NumNodes(), edges: base.NumEdges(), directed: base.Directed()}
 	// Name the flight recorder's process so a cluster-merged timeline
 	// shows "shard-2", not four processes all called "incgraph".
-	if part != nil {
-		svc.Recorder().SetProcess(fmt.Sprintf("shard-%d", c.shardID))
-	} else {
-		svc.Recorder().SetProcess("incgraphd")
+	proc := "incgraphd"
+	switch {
+	case c.replicaOf != "" && part != nil:
+		proc = fmt.Sprintf("replica-%d", c.shardID)
+	case c.replicaOf != "":
+		proc = "replica"
+	case part != nil:
+		proc = fmt.Sprintf("shard-%d", c.shardID)
+	}
+	dm.svc.Recorder().SetProcess(proc)
+	if c.replicaOf != "" {
+		return dm.runReplica(base)
 	}
 
 	// With a data directory, recovery runs before any host starts: restore
 	// each maintainer from the latest checkpoint (falling back to a fresh
-	// batch run on the input graph), replay the WAL tail through the
-	// incremental Apply path, verify against batch recompute, and only
-	// then start the apply loops at the recovered stream position.
-	var rec *incgraph.Recovery
+	// batch run on the input graph) and replay the WAL tail through the
+	// incremental Apply path; host then verifies and starts the apply
+	// loops at the recovered stream position. In memory, the empty
+	// Recovery hosts everything at epoch 0.
+	rec := &incgraph.Recovery{}
 	if c.dataDir != "" {
 		if rec, err = incgraph.LoadRecovery(c.dataDir); err != nil {
 			return fmt.Errorf("recovery: %w", err)
 		}
 	}
-	targets := make(map[string]incgraph.Serveable, len(algoList))
-	for _, algo := range algoList {
+	targets, err := dm.build(base, rec)
+	if err == nil && c.dataDir != "" {
+		if _, err = rec.Replay(targets, dm.svc.Recorder()); err != nil {
+			err = fmt.Errorf("recovery: replay: %w", err)
+		}
+	}
+	if err == nil {
+		err = dm.host(targets, rec)
+	}
+	if err != nil {
+		dm.svc.Close()
+		return err
+	}
+	return dm.serve(dm.handler())
+}
+
+// build constructs one maintainer per hosted algo, each owning a private
+// graph (maintainers mutate their graph in Apply and are single-writer
+// objects): the checkpointed graph with its restored state where rec
+// covers the algo, otherwise a batch run on a clone of base.
+func (dm *daemon) build(base *incgraph.Graph, rec *incgraph.Recovery) (map[string]incgraph.Serveable, error) {
+	targets := make(map[string]incgraph.Serveable, len(dm.algos))
+	for _, algo := range dm.algos {
 		t0 := time.Now()
-		// Every maintainer owns a private clone: maintainers mutate
-		// their graph in Apply and are single-writer objects.
-		g := base.Clone()
-		restored := false
-		if rec != nil {
-			if ra, ok := rec.Algos[algo]; ok {
-				g, restored = ra.Graph, true
-			}
+		ra, restored := rec.Algos[algo]
+		g := ra.Graph
+		if !restored {
+			g = base.Clone()
 		}
-		m, err := buildServeable(algo, g, incgraph.NodeID(c.src), pat)
+		m, err := buildServeable(algo, g, incgraph.NodeID(dm.c.src), dm.pat)
 		if err != nil {
-			svc.Close()
-			return err
+			return nil, err
 		}
-		if rec != nil {
-			if err := rec.Restore(algo, m); err != nil {
-				svc.Close()
-				return fmt.Errorf("recovery: restore %s: %w", algo, err)
-			}
+		if err := rec.Restore(algo, m); err != nil {
+			return nil, fmt.Errorf("recovery: restore %s: %w", algo, err)
 		}
 		targets[algo] = m
-		logger.Info("hosted", "host", algo, "batch_init", time.Since(t0).Round(time.Microsecond),
+		dm.logger.Info("hosted", "host", algo, "batch_init", time.Since(t0).Round(time.Microsecond),
 			"from_checkpoint", restored)
 	}
-	var d *incgraph.Durable
-	if rec != nil {
-		replayed, err := rec.Replay(targets, svc.Recorder())
-		if err != nil {
-			return fmt.Errorf("recovery: replay: %w", err)
-		}
-		var divergent []string
+	return targets, nil
+}
+
+// host is the one bring-up of built maintainers, shared by a primary's
+// start-up and a replica's promotion; rec has been replayed into
+// targets. With -data-dir it verifies the replayed answers against a
+// batch recompute (unless -verify-recovery=false), hosts each maintainer
+// at its recovered stream position rec.Base(algo), and opens the WAL for
+// appending after its torn tail frame (if any) is truncated, so a
+// promoted replica's shipped log becomes the authoritative continuation.
+// Shard daemons mount the exchange API the router drives, and durable
+// daemons the WAL stream a log-shipping replica follows.
+func (dm *daemon) host(targets map[string]incgraph.Serveable, rec *incgraph.Recovery) error {
+	c := dm.c
+	var divergent []string
+	if c.dataDir != "" {
 		if c.verifyRec {
-			divergent = incgraph.VerifyRecovered(targets, svc.Recorder())
+			divergent = incgraph.VerifyRecovered(targets, dm.svc.Recorder())
 			if len(divergent) > 0 {
-				logger.Warn("recovery: replayed state diverged from batch recompute; repaired",
+				dm.logger.Warn("recovery: replayed state diverged from batch recompute; repaired",
 					"algos", strings.Join(divergent, ","))
 			}
 		}
-		logger.Info("recovered", "dir", c.dataDir,
-			"checkpoint_epoch", rec.CheckpointEpoch, "replayed_records", replayed,
+		dm.logger.Info("recovered", "dir", c.dataDir,
+			"checkpoint_epoch", rec.CheckpointEpoch, "replayed_records", rec.Replayed,
 			"divergent", len(divergent))
-		policy, err := incgraph.ParseSyncPolicy(c.fsync)
-		if err != nil {
+	}
+	for _, algo := range dm.algos {
+		o := dm.opt
+		o.BaseEpoch, o.BaseBatches = rec.Base(algo)
+		if _, err := dm.svc.Host(targets[algo], o); err != nil {
 			return err
 		}
-		for _, algo := range algoList {
-			o := opt
-			o.BaseEpoch, o.BaseBatches = rec.Base(algo)
-			if _, err := svc.Host(targets[algo], o); err != nil {
-				svc.Close()
-				return err
-			}
-		}
-		if d, err = incgraph.OpenDurable(svc, c.dataDir, incgraph.DurableOptions{
-			WAL:             incgraph.WALOptions{Policy: policy, Interval: c.fsyncInterval},
-			CheckpointEvery: c.ckptEvery,
-		}); err != nil {
-			svc.Close()
-			return err
-		}
-		d.RecordRecovery(replayed, len(divergent))
-	} else {
-		for _, algo := range algoList {
-			if _, err := svc.Host(targets[algo], opt); err != nil {
-				svc.Close()
-				return err
-			}
-		}
 	}
+	if dm.part != nil {
+		shard.MountShardAPI(dm.svc, dm.part, c.shardID, dm.nodes, dm.directed, nil)
+	}
+	if c.dataDir == "" {
+		return nil
+	}
+	policy, err := incgraph.ParseSyncPolicy(c.fsync)
+	if err != nil {
+		return err
+	}
+	d, err := incgraph.OpenDurable(dm.svc, c.dataDir, incgraph.DurableOptions{
+		WAL:             incgraph.WALOptions{Policy: policy, Interval: c.fsyncInterval},
+		CheckpointEvery: c.ckptEvery,
+	})
+	if err != nil {
+		return err
+	}
+	d.RecordRecovery(rec.Replayed, len(divergent))
+	dm.durable.Store(d)
+	dm.svc.Mount("/wal/", http.StripPrefix("/wal", d.Log().StreamHandler()))
+	return nil
+}
 
-	// Shard-mode daemons expose the exchange API the router drives, and
-	// (when durable) the WAL stream a log-shipping replica follows.
-	if part != nil {
-		shard.MountShardAPI(svc, part, c.shardID, base.NumNodes(), base.Directed(), nil)
+// handler is the full serving API, access-logged under -access-log.
+func (dm *daemon) handler() http.Handler {
+	h := dm.svc.Handler()
+	if dm.c.accessLog {
+		h = incgraph.AccessLog(dm.logger, h)
 	}
-	if d != nil {
-		svc.Mount("/wal/", http.StripPrefix("/wal", d.Log().StreamHandler()))
-	}
+	return h
+}
 
+// serve listens with h until SIGINT/SIGTERM (or a listener failure) and
+// then tears the daemon down in the one order that loses nothing
+// acknowledged: stop taking requests, stop a replica's follower,
+// checkpoint at the drained cut (the checkpoint job queues behind every
+// accepted submission, so it covers exactly what was acknowledged),
+// drain and stop the apply loops, close the WAL.
+func (dm *daemon) serve(h http.Handler) error {
+	c, logger := dm.c, dm.logger
 	if c.debugAddr != "" {
 		// pprof and expvar registered themselves on the default mux via
 		// their imports; serve it on the side listener only.
@@ -427,44 +489,33 @@ func run(logger *slog.Logger, c *cliFlags) error {
 			}
 		}()
 	}
-
-	handler := svc.Handler()
-	if c.accessLog {
-		handler = incgraph.AccessLog(logger, handler)
-	}
-	srv := &http.Server{Addr: c.listen, Handler: handler}
+	srv := &http.Server{Addr: c.listen, Handler: h}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
 	errc := make(chan error, 1)
 	go func() {
-		logger.Info("serving", "nodes", base.NumNodes(), "edges", base.NumEdges(), "addr", c.listen)
+		logger.Info("serving", "nodes", dm.nodes, "edges", dm.edges, "addr", c.listen)
 		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 		}
 	}()
 
+	var err error
 	select {
-	case err := <-errc:
-		svc.Close()
-		if d != nil {
-			d.Close()
-		}
-		return err
+	case err = <-errc:
 	case <-ctx.Done():
+		logger.Info("shutting down: draining apply queues")
+		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(shutCtx); err != nil {
+			logger.Warn("http shutdown", "err", err)
+		}
 	}
-
-	// Graceful shutdown: stop taking requests first, then checkpoint at
-	// the drained cut (the checkpoint job queues behind every accepted
-	// submission, so it covers exactly what was acknowledged), then drain
-	// and stop the apply loops.
-	logger.Info("shutting down: draining apply queues")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil {
-		logger.Warn("http shutdown", "err", err)
+	if dm.follower != nil {
+		dm.follower.Stop()
 	}
-	if d != nil {
+	d := dm.durable.Load()
+	if d != nil && err == nil {
 		t0 := time.Now()
 		if err := d.Checkpoint(); err != nil {
 			logger.Warn("checkpoint on drain", "err", err)
@@ -472,13 +523,13 @@ func run(logger *slog.Logger, c *cliFlags) error {
 			logger.Info("checkpoint on drain", "took", time.Since(t0).Round(time.Microsecond))
 		}
 	}
-	svc.Close()
+	dm.svc.Close()
 	if d != nil {
 		if err := d.Close(); err != nil {
 			logger.Warn("wal close", "err", err)
 		}
 	}
-	for _, h := range svc.Hosts() {
+	for _, h := range dm.svc.Hosts() {
 		st := h.Stats()
 		logger.Info("drained",
 			"host", st.Algo,
@@ -489,15 +540,15 @@ func run(logger *slog.Logger, c *cliFlags) error {
 			"mean_apply", time.Duration(st.MeanApplyNanos).Round(time.Microsecond),
 			"last_apply", time.Duration(st.LastApplyNanos).Round(time.Microsecond))
 	}
-	return nil
+	return err
 }
 
 // runReplica is the warm-replica mode: ship the primary's WAL into the
 // local data directory, replay it continuously into un-hosted
 // maintainers, and serve only health/status endpoints until promotion
 // swaps in the full serving API.
-func runReplica(logger *slog.Logger, c *cliFlags, base *incgraph.Graph, pat *incgraph.Graph,
-	part shard.Partitioner, algoList []string, opt incgraph.ServeOptions) error {
+func (dm *daemon) runReplica(base *incgraph.Graph) error {
+	c, logger, svc := dm.c, dm.logger, dm.svc
 	// Bootstrap: pull the primary's checkpoint and segment bytes before
 	// recovery, so a replica started late still begins from the newest
 	// durable cut instead of replaying from genesis. Best effort — a
@@ -523,48 +574,26 @@ func runReplica(logger *slog.Logger, c *cliFlags, base *incgraph.Graph, pat *inc
 	if err != nil {
 		return fmt.Errorf("replica recovery: %w", err)
 	}
-	targets := make(map[string]incgraph.Serveable, len(algoList))
-	baseEpochs := make(map[string]uint64, len(algoList))
-	baseBatches := make(map[string]uint64, len(algoList))
-	for _, algo := range algoList {
-		g := base.Clone()
-		if ra, ok := rec.Algos[algo]; ok {
-			g = ra.Graph
-		}
-		m, err := buildServeable(algo, g, incgraph.NodeID(c.src), pat)
-		if err != nil {
-			return err
-		}
-		if err := rec.Restore(algo, m); err != nil {
-			return fmt.Errorf("replica restore %s: %w", algo, err)
-		}
-		targets[algo] = m
-		ra := rec.Algos[algo]
-		baseEpochs[algo], baseBatches[algo] = ra.Epoch, ra.Batches
+	targets, err := dm.build(base, rec)
+	if err != nil {
+		return err
 	}
 	// The service exists before the follower so its registry carries the
 	// replication-lag gauges and its recorder the replay spans from the
 	// first shipped record — the replica is observable before promotion.
-	svc := incgraph.NewService()
-	if c.shardID >= 0 {
-		svc.Recorder().SetProcess(fmt.Sprintf("replica-%d", c.shardID))
-	} else {
-		svc.Recorder().SetProcess("replica")
-	}
 	follower := shard.NewFollower(shard.FollowerOptions{
-		Source:      c.replicaOf,
-		Dir:         c.dataDir,
-		Targets:     targets,
-		ReplayFrom:  rec.ReplayFrom,
-		BaseEpochs:  baseEpochs,
-		BaseBatches: baseBatches,
-		Client:      hc,
-		Registry:    svc.Registry(),
-		Recorder:    svc.Recorder(),
+		Source:   c.replicaOf,
+		Dir:      c.dataDir,
+		Targets:  targets,
+		Recovery: rec,
+		Client:   hc,
+		Registry: svc.Registry(),
+		Recorder: svc.Recorder(),
 		Logf: func(format string, args ...any) {
 			logger.Debug(fmt.Sprintf(format, args...))
 		},
 	})
+	dm.follower = follower
 	go follower.Run()
 	logger.Info("following", "primary", c.replicaOf, "dir", c.dataDir,
 		"replay_from", rec.ReplayFrom, "checkpoint_epoch", rec.CheckpointEpoch)
@@ -575,57 +604,17 @@ func runReplica(logger *slog.Logger, c *cliFlags, base *incgraph.Graph, pat *inc
 	type handlerBox struct{ h http.Handler }
 	var handler atomic.Value
 
-	// pstate carries what promotion creates across to the shutdown path.
-	var pstate struct {
-		sync.Mutex
-		d *incgraph.Durable
-	}
-
 	promote := func() (map[string]uint64, error) {
 		// Seal the follower: after Stop the targets reflect every shipped
-		// record and nothing else writes them, so hosting them at the
-		// follower's stream position is a consistent handoff.
+		// record and nothing else writes them, so the replayed recovery is
+		// now exactly what a restarted primary holds after its Replay, and
+		// the same host brings it up at rec.Base.
 		follower.Stop()
-		epochs, batches := follower.Epochs(), follower.Batches()
-		if c.verifyRec {
-			if divergent := incgraph.VerifyRecovered(targets, svc.Recorder()); len(divergent) > 0 {
-				logger.Warn("promotion: replayed state diverged from batch recompute; repaired",
-					"algos", strings.Join(divergent, ","))
-			}
-		}
-		for _, algo := range algoList {
-			o := opt
-			o.BaseEpoch, o.BaseBatches = epochs[algo], batches[algo]
-			if _, err := svc.Host(targets[algo], o); err != nil {
-				return nil, err
-			}
-		}
-		policy, err := incgraph.ParseSyncPolicy(c.fsync)
-		if err != nil {
+		if err := dm.host(targets, rec); err != nil {
 			return nil, err
 		}
-		// OpenDurable truncates the shipped WAL's torn tail frame (if the
-		// primary died mid-ship) and appends after it — the replica's log
-		// is now the authoritative continuation.
-		d, err := incgraph.OpenDurable(svc, c.dataDir, incgraph.DurableOptions{
-			WAL:             incgraph.WALOptions{Policy: policy, Interval: c.fsyncInterval},
-			CheckpointEvery: c.ckptEvery,
-		})
-		if err != nil {
-			return nil, err
-		}
-		pstate.Lock()
-		pstate.d = d
-		pstate.Unlock()
-		if part != nil {
-			shard.MountShardAPI(svc, part, c.shardID, base.NumNodes(), base.Directed(), func() bool { return false })
-		}
-		svc.Mount("/wal/", http.StripPrefix("/wal", d.Log().StreamHandler()))
-		full := svc.Handler()
-		if c.accessLog {
-			full = incgraph.AccessLog(logger, full)
-		}
-		handler.Store(handlerBox{full})
+		handler.Store(handlerBox{dm.handler()})
+		epochs := follower.Epochs()
 		logger.Info("promoted", "epochs", fmt.Sprint(epochs))
 		return epochs, nil
 	}
@@ -644,9 +633,9 @@ func runReplica(logger *slog.Logger, c *cliFlags, base *incgraph.Graph, pat *inc
 	mux.Handle("GET /metrics.json", svc.Registry().JSONHandler())
 	mux.Handle("GET /debug/trace", svc.Recorder().Handler())
 	mux.HandleFunc("GET /shard/info", func(w http.ResponseWriter, r *http.Request) {
-		info := shard.Info{Nodes: base.NumNodes(), Directed: base.Directed(), Replica: true, Epochs: follower.Epochs()}
-		if part != nil {
-			info.Shard, info.Shards, info.Partitioner = c.shardID, part.Shards(), part.Name()
+		info := shard.Info{Nodes: dm.nodes, Directed: dm.directed, Replica: true, Epochs: follower.Epochs()}
+		if dm.part != nil {
+			info.Shard, info.Shards, info.Partitioner = c.shardID, dm.part.Shards(), dm.part.Name()
 		}
 		writeJSON(w, http.StatusOK, info)
 	})
@@ -687,47 +676,9 @@ func runReplica(logger *slog.Logger, c *cliFlags, base *incgraph.Graph, pat *inc
 	})
 	handler.Store(handlerBox{mux})
 
-	srv := &http.Server{Addr: c.listen, Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	return dm.serve(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		handler.Load().(handlerBox).h.ServeHTTP(w, r)
-	})}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() {
-		logger.Info("replica serving", "addr", c.listen, "primary", c.replicaOf)
-		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-		}
-	}()
-	select {
-	case err := <-errc:
-		follower.Stop()
-		svc.Close()
-		return err
-	case <-ctx.Done():
-	}
-	logger.Info("replica shutting down")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil {
-		logger.Warn("http shutdown", "err", err)
-	}
-	follower.Stop()
-	pstate.Lock()
-	d := pstate.d
-	pstate.Unlock()
-	if d != nil {
-		if err := d.Checkpoint(); err != nil {
-			logger.Warn("checkpoint on drain", "err", err)
-		}
-	}
-	svc.Close()
-	if d != nil {
-		if err := d.Close(); err != nil {
-			logger.Warn("wal close", "err", err)
-		}
-	}
-	return nil
+	}))
 }
 
 // writeJSON writes v as JSON with the given status.

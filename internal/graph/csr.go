@@ -2,26 +2,31 @@ package graph
 
 import "sort"
 
-// CSR is an immutable compressed-sparse-row snapshot of a graph's
-// out-adjacency with neighbor lists sorted by id. Batch algorithms that
-// scan adjacency heavily (triangle counting, simulation) take a CSR to get
-// cache-friendly sequential access and binary-searchable neighbor sets.
-type CSR struct {
-	Offsets []int32
-	Targets []NodeID
-	Weights []int64
+// csr is a compressed-sparse-row snapshot of one direction of a graph's
+// adjacency with every row sorted by neighbor id: the base a Flat view
+// keeps under its overlay. Row u of the in-direction holds the sources
+// of u's incoming edges.
+type csr struct {
+	offsets []int32
+	targets []NodeID
+	weights []int64
 }
 
-// Snapshot builds a CSR from the graph's current out-adjacency.
-func Snapshot(g *Graph) *CSR {
+// buildCSR snapshots g's out-adjacency, or its in-adjacency when in is
+// set (the same rows for undirected graphs).
+func buildCSR(g *Graph, in bool) *csr {
+	row := g.Out
+	if in {
+		row = g.In
+	}
 	n := g.NumNodes()
-	c := &CSR{Offsets: make([]int32, n+1)}
+	c := &csr{offsets: make([]int32, n+1)}
 	total := 0
 	for u := 0; u < n; u++ {
-		total += g.OutDegree(NodeID(u))
+		total += len(row(NodeID(u)))
 	}
-	c.Targets = make([]NodeID, 0, total)
-	c.Weights = make([]int64, 0, total)
+	c.targets = make([]NodeID, 0, total)
+	c.weights = make([]int64, 0, total)
 	type pair struct {
 		to NodeID
 		w  int64
@@ -29,55 +34,23 @@ func Snapshot(g *Graph) *CSR {
 	var buf []pair
 	for u := 0; u < n; u++ {
 		buf = buf[:0]
-		for _, e := range g.Out(NodeID(u)) {
+		for _, e := range row(NodeID(u)) {
 			buf = append(buf, pair{e.To, e.W})
 		}
 		sort.Slice(buf, func(i, j int) bool { return buf[i].to < buf[j].to })
 		for _, p := range buf {
-			c.Targets = append(c.Targets, p.to)
-			c.Weights = append(c.Weights, p.w)
+			c.targets = append(c.targets, p.to)
+			c.weights = append(c.weights, p.w)
 		}
-		c.Offsets[u+1] = int32(len(c.Targets))
+		c.offsets[u+1] = int32(len(c.targets))
 	}
 	return c
 }
 
-// NumNodes returns the number of nodes in the snapshot.
-func (c *CSR) NumNodes() int { return len(c.Offsets) - 1 }
+// numNodes returns the number of rows in the snapshot.
+func (c *csr) numNodes() int { return len(c.offsets) - 1 }
 
-// Neighbors returns u's sorted neighbor ids.
-func (c *CSR) Neighbors(u NodeID) []NodeID {
-	return c.Targets[c.Offsets[u]:c.Offsets[u+1]]
-}
-
-// Degree returns the out-degree of u.
-func (c *CSR) Degree(u NodeID) int {
-	return int(c.Offsets[u+1] - c.Offsets[u])
-}
-
-// HasEdge reports whether (u, v) is present, by binary search.
-func (c *CSR) HasEdge(u, v NodeID) bool {
-	ns := c.Neighbors(u)
-	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= v })
-	return i < len(ns) && ns[i] == v
-}
-
-// CountCommon returns |N(u) ∩ N(v)| by merging the two sorted lists, the
-// kernel of triangle counting.
-func (c *CSR) CountCommon(u, v NodeID) int {
-	a, b := c.Neighbors(u), c.Neighbors(v)
-	i, j, n := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
+// neighbors returns u's sorted neighbor ids.
+func (c *csr) neighbors(u NodeID) []NodeID {
+	return c.targets[c.offsets[u]:c.offsets[u+1]]
 }

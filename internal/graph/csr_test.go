@@ -11,37 +11,18 @@ func TestSnapshotBasic(t *testing.T) {
 	g.InsertEdge(0, 2, 1)
 	g.InsertEdge(0, 1, 1)
 	g.InsertEdge(1, 2, 1)
-	c := Snapshot(g)
-	if c.NumNodes() != 4 {
-		t.Fatalf("NumNodes = %d", c.NumNodes())
+	c := buildCSR(g, false)
+	if c.numNodes() != 4 {
+		t.Fatalf("numNodes = %d", c.numNodes())
 	}
-	if got := c.Neighbors(0); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("Neighbors(0) = %v, want sorted [1 2]", got)
+	if got := c.neighbors(0); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("neighbors(0) = %v, want sorted [1 2]", got)
 	}
-	if c.Degree(3) != 0 || c.Degree(2) != 2 {
-		t.Fatal("degrees wrong")
+	if got := c.neighbors(1); len(got) != 2 || got[0] != 0 || got[1] != 2 {
+		t.Fatalf("neighbors(1) = %v, want sorted [0 2]", got)
 	}
-	if !c.HasEdge(1, 0) || c.HasEdge(0, 3) {
-		t.Fatal("HasEdge wrong")
-	}
-}
-
-func TestCountCommon(t *testing.T) {
-	g := New(5, false)
-	// Triangle 0-1-2 plus pendant 3 on 0, isolated 4.
-	g.InsertEdge(0, 1, 1)
-	g.InsertEdge(1, 2, 1)
-	g.InsertEdge(0, 2, 1)
-	g.InsertEdge(0, 3, 1)
-	c := Snapshot(g)
-	if got := c.CountCommon(0, 1); got != 1 {
-		t.Fatalf("CountCommon(0,1) = %d, want 1", got)
-	}
-	if got := c.CountCommon(0, 4); got != 0 {
-		t.Fatalf("CountCommon(0,4) = %d, want 0", got)
-	}
-	if got := c.CountCommon(3, 1); got != 1 { // common neighbor 0
-		t.Fatalf("CountCommon(3,1) = %d, want 1", got)
+	if got := c.neighbors(3); len(got) != 0 {
+		t.Fatalf("neighbors(3) = %v, want empty", got)
 	}
 }
 
@@ -49,14 +30,14 @@ func TestSnapshotMatchesGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := New(30, true)
 	g.Apply(randomBatch(rng, 30, 400))
-	c := Snapshot(g)
+	c := buildCSR(g, false)
 	for u := 0; u < 30; u++ {
 		want := make([]NodeID, 0)
 		for _, e := range g.Out(NodeID(u)) {
 			want = append(want, e.To)
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		got := c.Neighbors(NodeID(u))
+		got := c.neighbors(NodeID(u))
 		if len(got) != len(want) {
 			t.Fatalf("node %d: degree %d vs %d", u, len(got), len(want))
 		}

@@ -46,8 +46,8 @@ type Flat struct {
 
 // flatDir is one direction (out- or in-adjacency) of a Flat view.
 type flatDir struct {
-	csr  *CSR
-	dead []bool   // parallel to csr.Targets; nil until first tombstone
+	base *csr
+	dead []bool   // parallel to base.targets; nil until first tombstone
 	add  [][]Edge // per-node overlay inserts; nil rows are common
 }
 
@@ -63,9 +63,9 @@ func NewFlat(g *Graph) *Flat {
 
 func (f *Flat) rebuild(g *Graph) {
 	n := g.NumNodes()
-	f.out = flatDir{csr: Snapshot(g), add: make([][]Edge, n)}
+	f.out = flatDir{base: buildCSR(g, false), add: make([][]Edge, n)}
 	if f.directed {
-		f.in = flatDir{csr: SnapshotIn(g), add: make([][]Edge, n)}
+		f.in = flatDir{base: buildCSR(g, true), add: make([][]Edge, n)}
 	}
 	f.overlayOps = 0
 }
@@ -87,9 +87,9 @@ func (f *Flat) OverlayOps() int { return f.overlayOps }
 // base snapshot's half-edge entries. This is the staleness measure that
 // NeedCompact compares against the threshold.
 func (f *Flat) OverlayRatio() float64 {
-	base := len(f.out.csr.Targets)
+	base := len(f.out.base.targets)
 	if f.directed {
-		base += len(f.in.csr.Targets)
+		base += len(f.in.base.targets)
 	}
 	return float64(f.overlayOps) / float64(base+1)
 }
@@ -157,11 +157,11 @@ func (f *Flat) grow(n int) {
 
 // baseIndex locates (u, v) in the base row by binary search.
 func (d *flatDir) baseIndex(u, v NodeID) (int, bool) {
-	if int(u) >= d.csr.NumNodes() {
+	if int(u) >= d.base.numNodes() {
 		return 0, false
 	}
-	lo, hi := int(d.csr.Offsets[u]), int(d.csr.Offsets[u+1])
-	row := d.csr.Targets[lo:hi]
+	lo, hi := int(d.base.offsets[u]), int(d.base.offsets[u+1])
+	row := d.base.targets[lo:hi]
 	i := sort.Search(len(row), func(i int) bool { return row[i] >= v })
 	if i < len(row) && row[i] == v {
 		return lo + i, true
@@ -177,7 +177,7 @@ func (d *flatDir) insert(u, v NodeID, w int64) {
 		if d.dead != nil {
 			d.dead[i] = false
 		}
-		d.csr.Weights[i] = w
+		d.base.weights[i] = w
 		return
 	}
 	d.add[u] = append(d.add[u], Edge{To: v, W: w})
@@ -195,7 +195,7 @@ func (d *flatDir) remove(u, v NodeID) {
 	}
 	if i, ok := d.baseIndex(u, v); ok {
 		if d.dead == nil {
-			d.dead = make([]bool, len(d.csr.Targets))
+			d.dead = make([]bool, len(d.base.targets))
 		}
 		d.dead[i] = true
 	}
@@ -205,10 +205,10 @@ func (d *flatDir) remove(u, v NodeID) {
 // and the overlay tail for u. A nil dead slice means no base entry in the
 // row is tombstoned.
 func (d *flatDir) spans(u NodeID) (ts []NodeID, ws []int64, dead []bool, extra []Edge) {
-	if int(u) < d.csr.NumNodes() {
-		lo, hi := d.csr.Offsets[u], d.csr.Offsets[u+1]
-		ts = d.csr.Targets[lo:hi]
-		ws = d.csr.Weights[lo:hi]
+	if int(u) < d.base.numNodes() {
+		lo, hi := d.base.offsets[u], d.base.offsets[u+1]
+		ts = d.base.targets[lo:hi]
+		ws = d.base.weights[lo:hi]
 		if d.dead != nil {
 			dead = d.dead[lo:hi]
 		}
@@ -325,36 +325,4 @@ func sortIDs(ids []NodeID, sorted int) {
 			ids[j], ids[j-1] = ids[j-1], ids[j]
 		}
 	}
-}
-
-// SnapshotIn builds a CSR over the graph's in-adjacency: row u holds the
-// sources of u's incoming edges, sorted by id. For undirected graphs this
-// equals Snapshot.
-func SnapshotIn(g *Graph) *CSR {
-	n := g.NumNodes()
-	c := &CSR{Offsets: make([]int32, n+1)}
-	total := 0
-	for u := 0; u < n; u++ {
-		total += g.InDegree(NodeID(u))
-	}
-	c.Targets = make([]NodeID, 0, total)
-	c.Weights = make([]int64, 0, total)
-	type pair struct {
-		to NodeID
-		w  int64
-	}
-	var buf []pair
-	for u := 0; u < n; u++ {
-		buf = buf[:0]
-		for _, e := range g.In(NodeID(u)) {
-			buf = append(buf, pair{e.To, e.W})
-		}
-		sort.Slice(buf, func(i, j int) bool { return buf[i].to < buf[j].to })
-		for _, p := range buf {
-			c.Targets = append(c.Targets, p.to)
-			c.Weights = append(c.Weights, p.w)
-		}
-		c.Offsets[u+1] = int32(len(c.Targets))
-	}
-	return c
 }

@@ -205,15 +205,15 @@ func TestSnapshotIn(t *testing.T) {
 	g.InsertEdge(1, 2, 4)
 	g.InsertEdge(3, 2, 5)
 	g.InsertEdge(2, 0, 6)
-	c := SnapshotIn(g)
-	if got := c.Neighbors(2); len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 3 {
+	c := buildCSR(g, true)
+	if got := c.neighbors(2); len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 3 {
 		t.Fatalf("in-neighbors of 2 = %v", got)
 	}
-	if got := c.Neighbors(0); len(got) != 1 || got[0] != 2 {
+	if got := c.neighbors(0); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("in-neighbors of 0 = %v", got)
 	}
-	if c.Degree(1) != 0 {
-		t.Fatalf("in-degree of 1 = %d", c.Degree(1))
+	if got := c.neighbors(1); len(got) != 0 {
+		t.Fatalf("in-neighbors of 1 = %v", got)
 	}
 }
 

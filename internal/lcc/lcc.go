@@ -79,22 +79,29 @@ func Brute(g *graph.Graph) *Result {
 }
 
 // Run is the batch fixpoint algorithm LCC_fp: one pass setting every d_v,
-// plus a triangle pass over a sorted CSR snapshot — for each edge (u, v)
+// plus a triangle pass over sorted adjacency rows — for each edge (u, v)
 // with u < v, every common neighbor w gains one triangle (the edge
-// opposite w identifies the triangle {u, v, w} exactly once for w).
+// opposite w identifies the triangle {u, v, w} exactly once for w). The
+// rows are the base rows of a fresh Flat view, which are sorted by id
+// and, with no overlay or tombstones yet, are the whole adjacency.
 func Run(g *graph.Graph) *Result {
 	n := g.NumNodes()
 	r := NewResult(n)
 	for v := 0; v < n; v++ {
 		r.Deg[v] = int32(g.Degree(graph.NodeID(v)))
 	}
-	c := graph.Snapshot(g)
+	f := graph.NewFlat(g)
+	row := func(u graph.NodeID) []graph.NodeID {
+		ts, _, _, _ := f.OutSpans(u)
+		return ts
+	}
 	for u := 0; u < n; u++ {
-		for _, v := range c.Neighbors(graph.NodeID(u)) {
+		a := row(graph.NodeID(u))
+		for _, v := range a {
 			if graph.NodeID(u) >= v {
 				continue
 			}
-			a, b := c.Neighbors(graph.NodeID(u)), c.Neighbors(v)
+			b := row(v)
 			i, j := 0, 0
 			for i < len(a) && j < len(b) {
 				switch {

@@ -35,7 +35,11 @@ import (
 //     anchor order <_C it would have had without the restart;
 //  2. replay: the WAL tail (segments at or after the checkpoint's
 //     ReplayFrom) re-applies every update the checkpoint had not
-//     absorbed, through the normal incremental Apply path;
+//     absorbed, through the normal incremental Apply path. Each record
+//     goes through Recovery.ApplyRecord, the one place a record reaches
+//     the maintainers and the stream position (Base) is counted; a warm
+//     replica's follower calls it too, record by record as segments
+//     ship, so a restart and a promotion resume from the same count;
 //  3. verify: each maintainer's replayed answer is compared against a
 //     batch recompute over the recovered graph. Divergence — which the
 //     design treats as a bug, not an expected state — is counted,
@@ -74,23 +78,24 @@ type Recovery struct {
 	// CheckpointEpoch is the loaded checkpoint's epoch sum, 0 if none.
 	CheckpointEpoch uint64
 
-	replayedRaw     map[string]uint64
-	replayedRecords map[string]uint64
-	// Replayed is the total WAL records re-applied by Replay.
+	// replayed counts, per algo, what ApplyRecord re-applied on top of
+	// the checkpoint: raw updates and records.
+	replayed map[string]streamPos
+	// Replayed is the total WAL records passed to ApplyRecord.
 	Replayed int
 }
+
+// streamPos is a stream position: raw unit updates (the epoch) and
+// records (the batches).
+type streamPos struct{ updates, batches uint64 }
 
 // LoadRecovery loads the newest valid checkpoint in dir (scanning past
 // corrupt ones) and decodes each algorithm's graph and state envelope.
 // With no usable checkpoint it returns an empty Recovery that replays
-// the WAL from the beginning.
+// the WAL from the beginning. The zero Recovery is that empty one
+// without a directory: a zero base that only ApplyRecord advances.
 func LoadRecovery(dir string) (*Recovery, error) {
-	r := &Recovery{
-		dir:             dir,
-		Algos:           make(map[string]RecoveredAlgo),
-		replayedRaw:     make(map[string]uint64),
-		replayedRecords: make(map[string]uint64),
-	}
+	r := &Recovery{dir: dir, Algos: make(map[string]RecoveredAlgo)}
 	ck, err := wal.LatestCheckpoint(dir)
 	if err != nil {
 		return nil, err
@@ -127,34 +132,17 @@ func (r *Recovery) Restore(algo string, m Serveable) error {
 	return m.RestoreState(bytes.NewReader(ra.State))
 }
 
-// Replay streams the WAL tail into the targets: broadcast records ("")
-// reach every serveable, targeted records only their algo. Called before
-// the hosts start, so it drives Apply directly — single-threaded, which
-// honors the one-writer contract. Batches are coalesced with Net exactly
-// as the serving path would have.
+// Replay streams the WAL tail from ReplayFrom through ApplyRecord.
+// Called before the hosts start, so it is the targets' only writer.
 func (r *Recovery) Replay(targets map[string]Serveable, rec *trace.Recorder) (int, error) {
 	var span trace.Span
 	if rec != nil {
 		span = rec.Begin("recovery_replay", "serve", rec.Track("recovery"))
 	}
 	n, err := wal.Replay(r.dir, r.ReplayFrom, func(record wal.Record) error {
-		route := func(name string, m Serveable) {
-			m.Apply(record.Batch.Net(m.Graph().Directed()))
-			r.replayedRaw[name] += uint64(len(record.Batch))
-			r.replayedRecords[name]++
-		}
-		if record.Algo == "" {
-			for name, m := range targets {
-				route(name, m)
-			}
-			return nil
-		}
-		if m, ok := targets[record.Algo]; ok {
-			route(record.Algo, m)
-		}
+		r.ApplyRecord(targets, record)
 		return nil
 	})
-	r.Replayed = n
 	if rec != nil {
 		span.Arg("records", int64(n))
 		span.Arg("from_segment", int64(r.ReplayFrom))
@@ -163,11 +151,38 @@ func (r *Recovery) Replay(targets map[string]Serveable, rec *trace.Recorder) (in
 	return n, err
 }
 
+// ApplyRecord routes one WAL record to the maintainers: a broadcast
+// record ("") reaches every target, a targeted one only its algo. Each
+// reached maintainer applies the batch coalesced with Net, exactly as
+// the serving path would have, and its algo's stream position advances
+// by the record's raw updates and one batch. It drives Apply directly,
+// so the caller must be the targets' only writer — Replay before the
+// hosts start, or a replica's follower until promotion — and must order
+// it against concurrent Base reads.
+func (r *Recovery) ApplyRecord(targets map[string]Serveable, record wal.Record) {
+	if r.replayed == nil {
+		r.replayed = make(map[string]streamPos)
+	}
+	route := func(name string, m Serveable) {
+		m.Apply(record.Batch.Net(m.Graph().Directed()))
+		p := r.replayed[name]
+		r.replayed[name] = streamPos{p.updates + uint64(len(record.Batch)), p.batches + 1}
+	}
+	if record.Algo == "" {
+		for name, m := range targets {
+			route(name, m)
+		}
+	} else if m, ok := targets[record.Algo]; ok {
+		route(record.Algo, m)
+	}
+	r.Replayed++
+}
+
 // Base returns the stream position a recovered host should resume from:
-// the checkpoint's accounting plus what Replay re-applied.
+// the checkpoint's accounting plus what ApplyRecord re-applied.
 func (r *Recovery) Base(algo string) (epoch, batches uint64) {
-	ra := r.Algos[algo]
-	return ra.Epoch + r.replayedRaw[algo], ra.Batches + r.replayedRecords[algo]
+	ra, p := r.Algos[algo], r.replayed[algo]
+	return ra.Epoch + p.updates, ra.Batches + p.batches
 }
 
 // VerifyRecovered checks each recovered maintainer against a batch
@@ -206,17 +221,11 @@ type DurableOptions struct {
 	// CheckpointEvery takes a checkpoint after this many ingested
 	// batches; 0 means manual checkpoints only (Checkpoint / shutdown).
 	CheckpointEvery int
-	// KeepCheckpoints retains this many checkpoints (default 2: a
-	// checkpoint corrupted in place still leaves a recovery path).
-	KeepCheckpoints int
 }
 
-func (o DurableOptions) withDefaults() DurableOptions {
-	if o.KeepCheckpoints <= 0 {
-		o.KeepCheckpoints = 2
-	}
-	return o
-}
+// keepCheckpoints is how many checkpoints are retained: two, so a
+// checkpoint corrupted in place still leaves a recovery path.
+const keepCheckpoints = 2
 
 // Durable owns a service's WAL and checkpoints and implements Journal:
 // installed on a Service, it write-ahead-logs every POST /update batch
@@ -257,7 +266,6 @@ type Durable struct {
 // (LoadRecovery / Replay / VerifyRecovered) must have happened first:
 // Open truncates the torn tail of the last segment and appends after it.
 func OpenDurable(svc *Service, dir string, opt DurableOptions) (*Durable, error) {
-	opt = opt.withDefaults()
 	log, err := wal.Open(dir, opt.WAL)
 	if err != nil {
 		return nil, err
@@ -395,15 +403,14 @@ func (d *Durable) Checkpoint() error {
 	if _, err := wal.WriteCheckpoint(d.dir, ck); err != nil {
 		return err
 	}
-	keep := d.opt.KeepCheckpoints
-	if err := wal.PruneCheckpoints(d.dir, keep); err != nil {
+	if err := wal.PruneCheckpoints(d.dir, keepCheckpoints); err != nil {
 		return err
 	}
 	d.replayFroms = append(d.replayFroms, replayFrom)
-	if len(d.replayFroms) > keep {
-		d.replayFroms = d.replayFroms[len(d.replayFroms)-keep:]
+	if len(d.replayFroms) > keepCheckpoints {
+		d.replayFroms = d.replayFroms[len(d.replayFroms)-keepCheckpoints:]
 	}
-	if len(d.replayFroms) >= keep {
+	if len(d.replayFroms) >= keepCheckpoints {
 		// Every kept checkpoint replays from d.replayFroms[0] or later;
 		// older segments are dead weight.
 		if err := d.log.RemoveBefore(d.replayFroms[0]); err != nil {

@@ -95,10 +95,10 @@ func TestMetricsEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The boundedness-ratio gauge: the deletion of edge 1-2 forces h to
-	// revise, so |AFF| and the ratio must be positive.
-	if v := promValue(t, expo, `incgraph_aff_per_delta_ratio{algo="cc"}`); v <= 0 {
-		t.Errorf("cc aff/delta ratio = %g, want > 0", v)
+	// The boundedness-ratio histogram: the deletion of edge 1-2 forces h
+	// to revise, so cc's applies must have recorded quotients.
+	if v := promValue(t, expo, `incgraph_bounded_ratio_count{algo="cc"}`); v <= 0 {
+		t.Errorf("cc bounded-ratio samples = %g, want > 0", v)
 	}
 	if v := promValue(t, expo, `incgraph_fixpoint_inspected_total{algo="cc"}`); v <= 0 {
 		t.Errorf("cc inspected total = %g, want > 0", v)

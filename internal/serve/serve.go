@@ -384,10 +384,6 @@ type hostMetrics struct {
 	queueWait     *obs.Histogram
 	coalesceRatio *obs.Histogram
 
-	affRatio     *obs.Gauge
-	inspectedPer *obs.Gauge
-	scopeSize    *obs.Gauge
-
 	panics   *obs.Counter
 	heals    *obs.Counter
 	degraded *obs.Gauge
@@ -403,7 +399,6 @@ type hostMetrics struct {
 	boundedRatio   *obs.Histogram
 	recomputeRatio *obs.Histogram
 	roundsHist     *obs.Histogram
-	boundedLast    *obs.Gauge
 	offenderCount  *obs.Gauge
 	offenderWorst  *obs.Gauge
 	offenderMin    *obs.Gauge
@@ -428,9 +423,6 @@ func newHostMetrics(r *obs.Registry, algo string) hostMetrics {
 		batchSize:       r.Histogram("incgraph_batch_size_updates", "Raw unit updates merged into one Apply call.", l),
 		queueWait:       r.Histogram("incgraph_queue_wait_seconds", "Queue time of the oldest submission merged into each batch.", l),
 		coalesceRatio:   r.Histogram("incgraph_coalesce_ratio", "Fraction of each batch cancelled by coalescing (raw-net)/raw.", l),
-		affRatio:        r.Gauge("incgraph_aff_per_delta_ratio", "Last apply's |AFF|/|ΔG| — the observed relative-boundedness ratio.", l),
-		inspectedPer:    r.Gauge("incgraph_inspected_per_update", "Last apply's fixpoint inspections per net update.", l),
-		scopeSize:       r.Gauge("incgraph_fixpoint_scope_size", "Last apply's initial scope size |H⁰|.", l),
 		panics:          r.Counter("incgraph_apply_panics_total", "Maintainer panics recovered by the apply loop.", l),
 		heals:           r.Counter("incgraph_heals_total", "Successful batch-recompute heals after a recovered panic.", l),
 		degraded:        r.Gauge("incgraph_degraded", "1 while the host serves a stale snapshot after a panic.", l),
@@ -444,7 +436,6 @@ func newHostMetrics(r *obs.Registry, algo string) hostMetrics {
 		boundedRatio:    r.Histogram("incgraph_bounded_ratio", "Per-apply work/|ΔG| — the relative-boundedness quotient distribution.", l),
 		recomputeRatio:  r.Histogram("incgraph_recompute_ratio", "Per-apply work/recompute-estimate — fraction of a from-scratch run.", l),
 		roundsHist:      r.Histogram("incgraph_rounds_to_fixpoint", "Per-apply propagation rounds until the resumed drain reached fixpoint.", l),
-		boundedLast:     r.Gauge("incgraph_bounded_ratio_last", "Most recent apply's work/|ΔG| boundedness quotient.", l),
 		offenderCount:   r.Gauge("incgraph_offender_count", "Entries retained in the top-K worst-boundedness ring.", l),
 		offenderWorst:   r.Gauge("incgraph_offender_worst_ratio", "Highest boundedness quotient ever retained by the offender ring.", l),
 		offenderMin:     r.Gauge("incgraph_offender_min_ratio", "Lowest retained offender quotient — the ring's admission threshold.", l),
@@ -997,12 +988,6 @@ func (h *Host) apply(raw graph.Batch, oldest time.Time, tid trace.TraceID) {
 	m.batchSize.Observe(float64(len(raw)))
 	m.queueWait.Observe(float64(queueWait) / 1e9)
 	m.coalesceRatio.Observe(float64(len(raw)-len(net)) / float64(len(raw)))
-	if len(net) > 0 {
-		// The live boundedness ratio: the paper's Theorem 3 bounds the
-		// incremental cost by a function of |ΔG| and |AFF|, so a ratio
-		// that stays flat as the graph grows is boundedness observed.
-		m.affRatio.Set(float64(res.Affected) / float64(len(net)))
-	}
 	tr := ApplyTrace{
 		Algo:           h.algo,
 		Epoch:          epoch,
@@ -1021,10 +1006,6 @@ func (h *Host) apply(raw graph.Batch, oldest time.Time, tid trace.TraceID) {
 		m.hSecondsTotal.Add(res.Stats.HSeconds)
 		m.resumeSeconds.Add(res.Stats.ResumeSeconds)
 		m.inspectedTotal.Add(float64(res.Stats.Inspected()))
-		m.scopeSize.Set(float64(res.Stats.ScopeSize))
-		if len(net) > 0 {
-			m.inspectedPer.Set(float64(res.Stats.Inspected()) / float64(len(net)))
-		}
 		tr.HNanos = int64(res.Stats.HSeconds * 1e9)
 		tr.ResumeNanos = int64(res.Stats.ResumeSeconds * 1e9)
 		tr.Inspected = res.Stats.Inspected()
@@ -1053,11 +1034,10 @@ func (h *Host) apply(raw graph.Batch, oldest time.Time, tid trace.TraceID) {
 		tr.Rounds = led.Rounds
 		if led.Delta > 0 {
 			// The audited boundedness quotient: one histogram sample per
-			// apply, the last value on a gauge, and a top-K offer so the
-			// worst applies survive with their trace IDs attached.
+			// apply and a top-K offer, so the worst applies survive with
+			// their trace IDs attached.
 			ratio := led.BoundedRatio()
 			m.boundedRatio.Observe(ratio)
-			m.boundedLast.Set(ratio)
 			tr.BoundedRatio = ratio
 			off := Offender{
 				Algo: h.algo, Epoch: epoch, Batch: batches,

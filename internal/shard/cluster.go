@@ -142,7 +142,7 @@ func (rt *Router) handleClusterTrace(w http.ResponseWriter, r *http.Request) {
 //	incrouter_cluster_replica_lag_seconds     worst follower seconds-behind
 //	incrouter_cluster_members                 reachable/total member gauges
 //	incrouter_cluster_bounded_ratio           bucket-merged boundedness quotients
-//	incrouter_cluster_bounded_ratio_worst     worst shard's last-apply quotient
+//	incrouter_cluster_bounded_ratio_worst     highest per-apply quotient observed
 func (rt *Router) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 	fed := obs.NewFederation()
 	fed.Ingest(rt.reg.Snapshot(), obs.L("role", "router"))
@@ -178,15 +178,16 @@ func (rt *Router) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 		"Worst-case follower seconds-behind across replicas.",
 		"gauge", maxValue(fed.Values("incgraph_replica_lag_seconds")))
 	// The boundedness audit rollup: every shard's per-apply quotient
-	// distribution merged bucket-exact, plus the worst shard's most recent
-	// quotient — the single number a cluster dashboard alerts on when one
-	// shard's incremental work stops being a function of |ΔG| and |AFF|.
+	// distribution merged bucket-exact, plus its maximum — the single
+	// number a cluster dashboard alerts on when one shard's incremental
+	// work stops being a function of |ΔG| and |AFF|.
+	bounded := fed.MergedHistogram("incgraph_bounded_ratio")
 	fed.AddHistogram("incrouter_cluster_bounded_ratio",
 		"Per-apply work/|ΔG| quotients merged across every shard's histogram buckets.",
-		fed.MergedHistogram("incgraph_bounded_ratio"))
+		bounded)
 	fed.Add("incrouter_cluster_bounded_ratio_worst",
-		"Worst shard's most recent boundedness quotient (max over last-apply gauges).",
-		"gauge", maxValue(fed.Values("incgraph_bounded_ratio_last")))
+		"Highest per-apply work/|ΔG| quotient any member has observed (max of the merged histogram).",
+		"gauge", bounded.Max)
 	fed.Add("incrouter_cluster_members",
 		"Scrapeable cluster members by reachability.",
 		"gauge", float64(reachable), obs.L("state", "reachable"))

@@ -20,13 +20,14 @@ import (
 // This file is the replication half of sharded serving: log shipping.
 // A primary shard daemon exposes its WAL through (*wal.Log).StreamHandler
 // (mounted under /wal/); a warm replica runs a Follower, which pulls
-// segment bytes and checkpoints into its own data directory and replays
-// every newly complete record through the same Apply path recovery
-// uses. Promotion is then cheap: stop the follower loop, read off the
-// per-algo stream positions it reached, and host the maintainers from
-// exactly that base. Replication is asynchronous — updates acked by the
-// primary but not yet shipped are lost on promotion, and the epoch
-// vector is what makes that loss visible instead of silent.
+// segment bytes and checkpoints into its own data directory and hands
+// every newly complete record to the replica's serve.Recovery — the
+// same ApplyRecord a restarting primary's replay uses. Promotion is then
+// cheap: stop the follower loop and host the maintainers at the
+// recovery's Base, exactly as a restarted primary does. Replication is
+// asynchronous — updates acked by the primary but not yet shipped are
+// lost on promotion, and the epoch vector is what makes that loss
+// visible instead of silent.
 
 // ShipProgress describes one PullWAL cycle: what was fetched and how far
 // the local mirror still trails the primary's listing. The lag fields
@@ -200,13 +201,12 @@ type FollowerOptions struct {
 	// records are applied to. The follower is their only writer until
 	// promotion.
 	Targets map[string]serve.Serveable
-	// ReplayFrom is the first WAL segment to tail (a recovered
-	// checkpoint's ReplayFrom; 0 tails from the oldest shipped segment).
-	ReplayFrom uint64
-	// BaseEpochs/BaseBatches seed the per-algo stream accounting with
-	// the recovered checkpoint's positions.
-	BaseEpochs  map[string]uint64
-	BaseBatches map[string]uint64
+	// Recovery is the replica's loaded checkpoint (serve.LoadRecovery on
+	// Dir), with Targets built from it. The follower tails the WAL from
+	// its ReplayFrom and applies every record through its ApplyRecord,
+	// so its Base is the replica's stream position — where a promoted
+	// host resumes. Nil tails from segment 0 with a zero base.
+	Recovery *serve.Recovery
 	// Interval is the poll cadence (default 100ms — replication lag is
 	// bounded by this plus transfer time).
 	Interval time.Duration
@@ -235,8 +235,10 @@ type Follower struct {
 	tail  *wal.Tail
 	track int32 // replication track on opt.Recorder, 0 when untraced
 
-	// applyMu serializes maintainer applies against View snapshots, so a
-	// stale read taken mid-replay still sees a record-aligned state.
+	// applyMu serializes record applies — maintainer Apply and the
+	// Recovery's stream-position count — against View, Epochs and
+	// Status, so a stale read taken mid-replay still sees a
+	// record-aligned state.
 	applyMu sync.Mutex
 
 	// pullFails/skipTicks implement deterministic pull backoff: after k
@@ -248,10 +250,7 @@ type Follower struct {
 	skipTicks int
 
 	mu         sync.Mutex
-	epochs     map[string]uint64
-	batches    map[string]uint64
 	shipped    int64
-	records    uint64
 	lastErr    error
 	lagSegs    int
 	lagBytes   int64
@@ -273,19 +272,14 @@ func NewFollower(opt FollowerOptions) *Follower {
 	if opt.Logf == nil {
 		opt.Logf = func(string, ...any) {}
 	}
+	if opt.Recovery == nil {
+		opt.Recovery = &serve.Recovery{}
+	}
 	f := &Follower{
-		opt:     opt,
-		tail:    wal.NewTail(opt.Dir, opt.ReplayFrom),
-		epochs:  make(map[string]uint64),
-		batches: make(map[string]uint64),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-	for a, e := range opt.BaseEpochs {
-		f.epochs[a] = e
-	}
-	for a, b := range opt.BaseBatches {
-		f.batches[a] = b
+		opt:  opt,
+		tail: wal.NewTail(opt.Dir, opt.Recovery.ReplayFrom),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	if opt.Recorder != nil {
 		f.track = opt.Recorder.Track("replication")
@@ -370,7 +364,7 @@ func (f *Follower) cycle() {
 }
 
 // replayLocal advances the tail over shipped bytes, applying each record
-// to its targets with the same coalescing the serving path uses.
+// to its targets through the recovery's ApplyRecord.
 func (f *Follower) replayLocal() {
 	emitted, err := f.tail.Advance(func(rec wal.Record) error {
 		var span trace.Span
@@ -382,22 +376,9 @@ func (f *Follower) replayLocal() {
 				span.Arg("record_age_ns", time.Now().UnixNano()-rec.Nanos)
 			}
 		}
-		apply := func(name string, m serve.Serveable) {
-			f.applyMu.Lock()
-			m.Apply(rec.Batch.Net(m.Graph().Directed()))
-			f.mu.Lock()
-			f.epochs[name] += uint64(len(rec.Batch))
-			f.batches[name]++
-			f.mu.Unlock()
-			f.applyMu.Unlock()
-		}
-		if rec.Algo == "" {
-			for name, m := range f.opt.Targets {
-				apply(name, m)
-			}
-		} else if m, ok := f.opt.Targets[rec.Algo]; ok {
-			apply(rec.Algo, m)
-		}
+		f.applyMu.Lock()
+		f.opt.Recovery.ApplyRecord(f.opt.Targets, rec)
+		f.applyMu.Unlock()
 		if rec.Nanos > 0 {
 			f.mu.Lock()
 			f.lastRecNs = rec.Nanos
@@ -409,7 +390,6 @@ func (f *Follower) replayLocal() {
 		return nil
 	})
 	f.mu.Lock()
-	f.records += uint64(emitted)
 	if err != nil {
 		f.lastErr = err
 	}
@@ -443,25 +423,17 @@ func (f *Follower) Stop() {
 }
 
 // Epochs returns the per-algo stream positions the replica has applied
-// up to — the BaseEpoch a promoted host must resume from.
+// up to: the recovery's Base epoch of every target.
 func (f *Follower) Epochs() map[string]uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make(map[string]uint64, len(f.epochs))
-	for a, e := range f.epochs {
-		out[a] = e
-	}
-	return out
+	f.applyMu.Lock()
+	defer f.applyMu.Unlock()
+	return f.epochsLocked()
 }
 
-// Batches returns the per-algo applied record counts (the BaseBatches
-// for promotion).
-func (f *Follower) Batches() map[string]uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make(map[string]uint64, len(f.batches))
-	for a, b := range f.batches {
-		out[a] = b
+func (f *Follower) epochsLocked() map[string]uint64 {
+	out := make(map[string]uint64, len(f.opt.Targets))
+	for a := range f.opt.Targets {
+		out[a], _ = f.opt.Recovery.Base(a)
 	}
 	return out
 }
@@ -478,38 +450,29 @@ func (f *Follower) View(algo string) (serve.View, bool) {
 		return serve.View{}, false
 	}
 	f.applyMu.Lock()
-	data := m.Snapshot()
-	f.mu.Lock()
-	v := serve.View{
-		Algo:     algo,
-		Epoch:    f.epochs[algo],
-		Batches:  f.batches[algo],
-		Degraded: true,
-		Data:     data,
-	}
-	f.mu.Unlock()
-	f.applyMu.Unlock()
+	defer f.applyMu.Unlock()
+	v := serve.View{Algo: algo, Degraded: true, Data: m.Snapshot()}
+	v.Epoch, v.Batches = f.opt.Recovery.Base(algo)
 	return v, true
 }
 
 // Status reports the follower's replication progress.
 func (f *Follower) Status() FollowerStatus {
+	f.applyMu.Lock()
+	st := FollowerStatus{
+		Source:  f.opt.Source,
+		Records: uint64(f.opt.Recovery.Replayed),
+		Epochs:  f.epochsLocked(),
+	}
+	f.applyMu.Unlock()
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	st := FollowerStatus{
-		Source:       f.opt.Source,
-		ShippedBytes: f.shipped,
-		Records:      f.records,
-		LagSegments:  f.lagSegs,
-		LagBytes:     f.lagBytes,
-		LagSeconds:   f.behindSecs,
-		Epochs:       make(map[string]uint64, len(f.epochs)),
-	}
+	st.ShippedBytes = f.shipped
+	st.LagSegments = f.lagSegs
+	st.LagBytes = f.lagBytes
+	st.LagSeconds = f.behindSecs
 	if f.lastErr != nil {
 		st.LastError = f.lastErr.Error()
-	}
-	for a, e := range f.epochs {
-		st.Epochs[a] = e
 	}
 	return st
 }

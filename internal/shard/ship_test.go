@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"incgraph/internal/graph"
 	"incgraph/internal/serve"
 	"incgraph/internal/sssp"
+	"incgraph/internal/trace"
 	"incgraph/internal/wal"
 )
 
@@ -132,8 +134,10 @@ func TestFollowerReplaysLiveStream(t *testing.T) {
 	}
 	f.Stop()
 
-	if got := f.Batches(); got["sssp"] != 3 || got["cc"] != 3 {
-		t.Fatalf("batch accounting %v, want 3 per algo", got)
+	for _, algo := range []string{"sssp", "cc"} {
+		if v, _ := f.View(algo); v.Batches != 3 {
+			t.Fatalf("%s batch accounting %d, want 3", algo, v.Batches)
+		}
 	}
 	st := f.Status()
 	if st.Records != 3 || st.ShippedBytes == 0 || st.LastError != "" {
@@ -158,6 +162,130 @@ func TestFollowerReplaysLiveStream(t *testing.T) {
 		if gotLabels[v] != wantLabels[v] {
 			t.Fatalf("replayed label[%d] = %d, want %d", v, gotLabels[v], wantLabels[v])
 		}
+	}
+}
+
+// TestFollowerFromCheckpoint: a replica bootstrapped from a primary that
+// checkpointed mid-stream (PullWAL → LoadRecovery → Follower) restores
+// the checkpoint, replays only the records after it — including ones
+// appended while it follows and ones targeted at a single algo — and
+// ends at the primary's per-algo stream positions with every answer
+// equal to the primary's and to a batch recompute.
+func TestFollowerFromCheckpoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	base := gen.PowerLaw(rng, 150, 5, true)
+	svc := serve.NewService()
+	for _, m := range []serve.Serveable{
+		serve.SSSP(sssp.NewInc(base.Clone(), 0), 0),
+		serve.CC(cc.NewInc(base.Clone())),
+	} {
+		if _, err := svc.Host(m, serve.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := serve.OpenDurable(svc, t.TempDir(), serve.DurableOptions{
+		WAL: wal.Options{Policy: wal.SyncAlways},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Mount("/wal/", http.StripPrefix("/wal", d.Log().StreamHandler()))
+	srv := httptest.NewServer(svc.Handler())
+	t.Cleanup(func() { srv.Close(); svc.Close(); d.Close() })
+
+	// ref carries every batch, which is what sssp sees; cc sees only the
+	// broadcast ones. acked/records are the acknowledged raw updates and
+	// records per algo.
+	ref := base.Clone()
+	acked := map[string]uint64{}
+	records := map[string]uint64{}
+	ingest := func(algo string, count int) {
+		b := gen.RandomUpdates(rng, ref, count, 0.5)
+		ref.Apply(b)
+		hosts := svc.Hosts()
+		if algo != "" {
+			hosts = []*serve.Host{svc.Get(algo)}
+		}
+		if err := d.Ingest(hosts, algo, b, trace.TraceID{}, true); err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range hosts {
+			acked[h.Algo()] += uint64(len(b))
+			records[h.Algo()]++
+		}
+	}
+	ingest("", 25)
+	ingest("sssp", 10)
+	ingest("", 25)
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	atCheckpoint := map[string]uint64{"sssp": acked["sssp"], "cc": acked["cc"]}
+	ingest("", 25)
+	ingest("sssp", 10)
+
+	dir := t.TempDir()
+	if _, err := PullWAL(context.Background(), nil, srv.URL, dir); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := serve.LoadRecovery(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.ReplayFrom == 0 || len(rec.Algos) != 2 {
+		t.Fatalf("replica did not load the shipped checkpoint: replay_from %d, algos %d", rec.ReplayFrom, len(rec.Algos))
+	}
+	targets := map[string]serve.Serveable{}
+	for algo, ra := range rec.Algos {
+		if ra.Epoch != atCheckpoint[algo] {
+			t.Fatalf("checkpoint %s epoch %d, want %d", algo, ra.Epoch, atCheckpoint[algo])
+		}
+		var m serve.Serveable = serve.CC(cc.NewInc(ra.Graph))
+		if algo == "sssp" {
+			m = serve.SSSP(sssp.NewInc(ra.Graph, 0), 0)
+		}
+		if err := rec.Restore(algo, m); err != nil {
+			t.Fatal(err)
+		}
+		targets[algo] = m
+	}
+	f := NewFollower(FollowerOptions{
+		Source:   srv.URL,
+		Dir:      dir,
+		Targets:  targets,
+		Recovery: rec,
+		Interval: 10 * time.Millisecond,
+	})
+	go f.Run()
+	ingest("", 25)
+	ingest("sssp", 10)
+
+	deadline := time.Now().Add(10 * time.Second)
+	for !reflect.DeepEqual(f.Epochs(), acked) {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower stuck at epochs %v, want %v (status %+v)", f.Epochs(), acked, f.Status())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	f.Stop()
+
+	// Only the four records after the checkpoint were replayed.
+	if st := f.Status(); st.Records != 4 || st.LastError != "" {
+		t.Fatalf("status %+v, want 4 replayed records", st)
+	}
+	for algo, want := range acked {
+		v, _ := f.View(algo)
+		pv := svc.Get(algo).View()
+		if v.Epoch != want || v.Batches != records[algo] || pv.Epoch != want {
+			t.Fatalf("%s: replica at epoch %d batches %d, primary at %d; want %d and %d",
+				algo, v.Epoch, v.Batches, pv.Epoch, want, records[algo])
+		}
+		if !reflect.DeepEqual(v.Data, pv.Data) {
+			t.Fatalf("%s: replica answer differs from the primary's", algo)
+		}
+	}
+	if div := serve.VerifyRecovered(targets, nil); len(div) > 0 {
+		t.Fatalf("replayed answers diverge from batch recompute: %v", div)
 	}
 }
 
